@@ -362,6 +362,21 @@ impl Cache {
             self.metas[idx] = meta;
             return None;
         }
+        self.install_in(set, tag, meta)
+    }
+
+    /// [`fill`](Self::fill) without the residency probe, for a line the
+    /// caller has just probed and found absent (the hierarchy's fills follow
+    /// a missed lookup of the same line at the same level).
+    #[inline]
+    pub(crate) fn install(&mut self, line: LineAddr, meta: LineMeta) -> Option<EvictedLine> {
+        debug_assert!(!self.contains(line), "install of a resident line");
+        self.install_in(self.set_of(line), self.tag_of(line), meta)
+    }
+
+    /// Places an absent `tag` into `set`: the lowest-index empty way if
+    /// any, else the replacement victim's way.
+    fn install_in(&mut self, set: usize, tag: u64, meta: LineMeta) -> Option<EvictedLine> {
         // Prefer the lowest-index empty way.
         if let Some(way) = self.first_invalid_way(set) {
             let idx = self.slot_index(set, way);
@@ -384,6 +399,13 @@ impl Cache {
             line: self.line_of(set, victim_tag),
             meta: victim_meta,
         })
+    }
+
+    /// Clears the [`owned`](LineMeta::owned) flag of every line.
+    pub(crate) fn clear_owned(&mut self) {
+        for meta in &mut self.metas {
+            meta.set_owned(false);
+        }
     }
 
     /// Removes a line, returning its metadata if it was resident.

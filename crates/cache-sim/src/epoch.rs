@@ -722,7 +722,10 @@ impl ShardExec<'_> {
     /// term corresponds 1:1 to the sequential implementation. Divergence
     /// here is caught by the verify phase (and only costs a rollback), but
     /// the private-level halves (L1/L2 probes and fills) must stay exactly
-    /// faithful: they are authoritative.
+    /// faithful: they are authoritative. The one shortcut not mirrored is
+    /// the owned-line write hit, whose skipped upgrade is a no-op: the
+    /// mirror always upgrades and never sets the flag, and a committed
+    /// epoch clears every owned flag (`Hierarchy::clear_owned`).
     fn access(&mut self, core: CoreId, access: Access, start: Cycle, now: Cycle) -> Cycle {
         let line = LineAddr(access.addr.0 >> self.line_shift);
         let is_write = access.kind.is_write();

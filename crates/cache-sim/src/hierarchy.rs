@@ -7,6 +7,9 @@
 //!   Prime+Probe relies on.
 //! * **Coherence.** The LLC keeps a sharer bitmap per line; writes invalidate
 //!   other cores' private copies (MESI's `M` acquisition, directory style).
+//!   An L1 copy whose core holds that `M` state — sole sharer of a dirty
+//!   LLC copy — carries the [`owned`](LineMeta::owned) flag, and its write
+//!   hits skip the directory round trip.
 //! * **Memory-controller hooks.** Every LLC→memory demand fetch and every
 //!   LLC eviction is reported to a [`TrafficObserver`]; observers may tag
 //!   incoming lines as protected and inject prefetches.
@@ -178,7 +181,10 @@ impl Hierarchy {
         if let Some(meta) = self.l1[core.0].touch(line) {
             meta.or_dirty(is_write);
             let mut latency = self.config.l1.latency;
-            if is_write {
+            // An owned copy's upgrade would be a no-op: its LLC copy is
+            // already dirty with this core as the only sharer.
+            if is_write && !meta.owned() {
+                meta.set_owned(true);
                 latency += self.write_upgrade(core, line);
             }
             self.stats.record_served(core, Level::L1, latency);
@@ -204,6 +210,9 @@ impl Hierarchy {
         now: Cycle,
         observer: &mut O,
     ) -> AccessResult {
+        // Every fill below installs into a level this access has just
+        // probed and missed, so none re-probes for residency.
+
         // ---- L2 hit ----
         if self.l2[core.0].touch(line).is_some() {
             self.fill_l1(core, line, is_write);
@@ -224,6 +233,7 @@ impl Hierarchy {
             let prefetch_hit = meta.prefetched() && !meta.accessed();
             meta.set_accessed(true);
             meta.set_prefetched(false);
+            let prior_sharers = meta.sharers;
             meta.sharers.insert(core);
             meta.or_dirty(is_write);
             if prefetch_hit {
@@ -232,6 +242,8 @@ impl Hierarchy {
             let mut latency = self.config.l3.latency;
             if is_write {
                 latency += self.invalidate_other_sharers(core, line);
+            } else {
+                self.disown(core, prior_sharers, line);
             }
             self.fill_l2(core, line);
             self.fill_l1(core, line, is_write);
@@ -273,6 +285,7 @@ impl Hierarchy {
             meta.set_protected(true);
             return;
         }
+        // Absent, as just probed: `fill_l3` installs without re-probing.
         self.dram.prefetch_read();
         self.fill_l3(line, LineMeta::prefetch_fill(), now, observer);
         self.stats.prefetch_fills += 1;
@@ -299,9 +312,9 @@ impl Hierarchy {
         self.prefetch_scratch = buf;
     }
 
-    /// Fills a line into the LLC, handling eviction of a victim: inclusive
-    /// back-invalidation of private copies, dirty writeback, and the pEvict
-    /// notification to the observer.
+    /// Fills an absent line into the LLC, handling eviction of a victim:
+    /// inclusive back-invalidation of private copies, dirty writeback, and
+    /// the pEvict notification to the observer.
     fn fill_l3<O: TrafficObserver + ?Sized>(
         &mut self,
         line: LineAddr,
@@ -309,7 +322,7 @@ impl Hierarchy {
         now: Cycle,
         observer: &mut O,
     ) {
-        if let Some(evicted) = self.l3.fill(line, meta) {
+        if let Some(evicted) = self.l3.install(line, meta) {
             self.stats.llc_evictions += 1;
             let mut dirty = evicted.meta.dirty();
             // Private copies can only live in cores recorded as sharers
@@ -338,13 +351,10 @@ impl Hierarchy {
         }
     }
 
-    /// Fills a line into `core`'s L2, maintaining L1 ⊆ L2 by back-
+    /// Fills an absent line into `core`'s L2, maintaining L1 ⊆ L2 by back-
     /// invalidating the L1 copy of any victim and propagating dirtiness down.
     fn fill_l2(&mut self, core: CoreId, line: LineAddr) {
-        if self.l2[core.0].touch(line).is_some() {
-            return;
-        }
-        if let Some(evicted) = self.l2[core.0].fill(line, LineMeta::default()) {
+        if let Some(evicted) = self.l2[core.0].install(line, LineMeta::default()) {
             let mut dirty = evicted.meta.dirty();
             if let Some(m) = self.l1[core.0].invalidate(evicted.line) {
                 self.stats.back_invalidations += 1;
@@ -354,14 +364,14 @@ impl Hierarchy {
         }
     }
 
-    /// Fills a line into `core`'s L1, propagating a dirty victim into L2.
+    /// Fills an absent line into `core`'s L1, propagating a dirty victim
+    /// into L2. A write's copy is filled owned: every caller leaves a write
+    /// with a dirty LLC copy whose only sharer is `core` (the L2-hit path by
+    /// the write upgrade that follows).
     fn fill_l1(&mut self, core: CoreId, line: LineAddr, is_write: bool) {
-        if let Some(meta) = self.l1[core.0].touch(line) {
-            meta.or_dirty(is_write);
-            return;
-        }
-        let meta = LineMeta::default().with_dirty(is_write);
-        if let Some(evicted) = self.l1[core.0].fill(line, meta) {
+        let mut meta = LineMeta::default().with_dirty(is_write);
+        meta.set_owned(is_write);
+        if let Some(evicted) = self.l1[core.0].install(line, meta) {
             if evicted.meta.dirty() {
                 if let Some(m) = self.l2[core.0].peek_mut(evicted.line) {
                     m.set_dirty(true);
@@ -387,6 +397,29 @@ impl Hierarchy {
         }
     }
 
+    /// A read by `core` joined the sharers of `line`, which were `prior`:
+    /// no other core's L1 copy is the sole sharer any more.
+    fn disown(&mut self, core: CoreId, prior: SharerSet, line: LineAddr) {
+        for other in prior.iter() {
+            if other == core {
+                continue;
+            }
+            if let Some(m) = self.l1[other.0].peek_mut(line) {
+                m.set_owned(false);
+            }
+        }
+    }
+
+    /// Clears the owned flag of every L1 copy. The epoch engine calls this
+    /// after committing a parallel epoch: its speculation and verify mirrors
+    /// add sharers without seeing private flags, and an owned copy is only
+    /// a shortcut, so dropping them all is always safe.
+    pub(crate) fn clear_owned(&mut self) {
+        for l1 in &mut self.l1 {
+            l1.clear_owned();
+        }
+    }
+
     /// A write by `core` must invalidate every other core's private copy
     /// (directory-based MESI upgrade). Returns the extra latency (one LLC
     /// round trip when an upgrade was needed, 0 otherwise).
@@ -407,13 +440,26 @@ impl Hierarchy {
     /// * every line in a core's L1 is also in that core's L2;
     /// * every line in a core's L2 is also in the L3;
     /// * every core recorded as a sharer of an L3 line is consistent with
-    ///   the directory (private copies imply sharer bits).
+    ///   the directory (private copies imply sharer bits);
+    /// * an owned L1 copy's LLC copy is dirty with that core as its only
+    ///   sharer.
     #[must_use]
     pub fn check_inclusion(&self) -> Option<String> {
         for core in 0..self.config.cores {
-            for (line, _) in self.l1[core].resident_lines() {
+            for (line, meta) in self.l1[core].resident_lines() {
                 if !self.l2[core].contains(line) {
                     return Some(format!("core{core} L1 holds {line} but L2 does not"));
+                }
+                if meta.owned() {
+                    let owned_ok = self
+                        .l3
+                        .peek(line)
+                        .is_some_and(|m| m.dirty() && m.sharers.is_sole(CoreId(core)));
+                    if !owned_ok {
+                        return Some(format!(
+                            "core{core} L1 owns {line} but the LLC copy is not dirty and solely shared"
+                        ));
+                    }
                 }
             }
             for (line, _) in self.l2[core].resident_lines() {
@@ -521,6 +567,52 @@ mod tests {
         let meta = h.llc_meta(Addr(0x2000)).expect("resident");
         assert!(meta.sharers.is_sole(CoreId(1)));
         assert!(meta.dirty());
+    }
+
+    #[test]
+    fn cross_core_read_disowns_and_next_write_still_invalidates() {
+        let mut h = hierarchy();
+        let mut obs = NullObserver;
+        let x = Addr(0x3000);
+        let line = x.line(64);
+        let owned = |h: &Hierarchy, core: usize| h.l1[core].peek(line).expect("resident").owned();
+        h.access(CoreId(0), x, AccessKind::Write, 0, &mut obs);
+        assert!(owned(&h, 0), "a memory-fill write owns its copy");
+        h.access(CoreId(1), x, AccessKind::Read, 1, &mut obs);
+        assert!(!owned(&h, 0), "a second sharer must clear ownership");
+        assert!(!owned(&h, 1));
+        assert_eq!(h.check_inclusion(), None);
+        // Core 0 is no longer the sole sharer: its write hit must upgrade
+        // and invalidate core 1's copies.
+        let r = h.access(CoreId(0), x, AccessKind::Write, 2, &mut obs);
+        assert_eq!(r.served_by, Level::L1);
+        assert_eq!(r.latency, 2 + 35, "the upgrade costs an LLC round trip");
+        assert!(!h.l1_contains(CoreId(1), x));
+        assert!(h.stats().coherence_invalidations > 0);
+        assert!(owned(&h, 0));
+        assert!(h.llc_meta(x).expect("resident").sharers.is_sole(CoreId(0)));
+        // Owned again: the next write hit pays no upgrade.
+        let r = h.access(CoreId(0), x, AccessKind::Write, 3, &mut obs);
+        assert_eq!(r.latency, 2);
+        assert_eq!(h.check_inclusion(), None);
+    }
+
+    #[test]
+    fn check_inclusion_rejects_an_owned_copy_of_a_shared_line() {
+        let mut h = hierarchy();
+        let mut obs = NullObserver;
+        let x = Addr(0x3000);
+        h.access(CoreId(0), x, AccessKind::Read, 0, &mut obs);
+        h.access(CoreId(1), x, AccessKind::Read, 1, &mut obs);
+        assert_eq!(h.check_inclusion(), None);
+        h.l1[0]
+            .peek_mut(x.line(64))
+            .expect("resident")
+            .set_owned(true);
+        let violation = h.check_inclusion().expect("bogus owned flag");
+        assert!(violation.contains("owns"), "{violation}");
+        h.clear_owned();
+        assert_eq!(h.check_inclusion(), None);
     }
 
     #[test]

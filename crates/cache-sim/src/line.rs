@@ -104,12 +104,18 @@ const PROTECTED: u8 = 1 << 1;
 const ACCESSED: u8 = 1 << 2;
 /// Flag bit: line entered the LLC via prefetch, not yet demand-touched.
 const PREFETCHED: u8 = 1 << 3;
+/// Flag bit (private L1 copies only): this core is the LLC copy's sole
+/// sharer and that copy is dirty, so a write hit needs no upgrade.
+const OWNED: u8 = 1 << 4;
 
 /// Metadata carried by a cached line, packed to nine meaningful bytes: the
-/// 64-bit sharer bitmap plus one flag byte holding the four status bits.
+/// 64-bit sharer bitmap plus one flag byte holding the five status bits.
 ///
-/// Private caches use the dirty flag; the LLC additionally maintains the
-/// sharer set (directory) and PiPoMonitor's protection bits:
+/// Private caches use the dirty flag, and L1 copies the `owned` flag: the
+/// core is the LLC copy's sole sharer and that copy is dirty (the state a
+/// write upgrade establishes), so a write hit on an owned line skips the
+/// upgrade. The LLC additionally maintains the sharer set (directory) and
+/// PiPoMonitor's protection bits:
 ///
 /// * `protected` — the line was captured as a Ping-Pong line (tagged at fill
 ///   time by the monitor's response).
@@ -208,6 +214,19 @@ impl LineMeta {
     #[inline]
     pub fn set_prefetched(&mut self, value: bool) {
         self.put(PREFETCHED, value);
+    }
+
+    /// This L1 copy's core is the sole sharer of a dirty LLC copy.
+    #[inline]
+    #[must_use]
+    pub fn owned(&self) -> bool {
+        self.flags & OWNED != 0
+    }
+
+    /// Sets the owned flag.
+    #[inline]
+    pub fn set_owned(&mut self, value: bool) {
+        self.put(OWNED, value);
     }
 
     /// Builder: returns `self` with the dirty flag set to `value`.
@@ -325,5 +344,11 @@ mod tests {
             .with_accessed(true)
             .with_prefetched(true);
         assert!(b.dirty() && b.protected() && b.accessed() && b.prefetched());
+        assert!(!b.owned());
+        let mut o = LineMeta::default().with_dirty(true);
+        o.set_owned(true);
+        assert!(o.owned() && o.dirty());
+        o.set_owned(false);
+        assert!(!o.owned() && o.dirty());
     }
 }

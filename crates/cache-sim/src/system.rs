@@ -514,6 +514,10 @@ impl<O: TrafficObserver + Clone> System<O> {
                 self.try_commit_legacy(t_end, &mut telemetry)
             };
             if committed {
+                // The epoch's mirrors added sharers without seeing the
+                // private owned flags; a rollback restores a consistent
+                // pre-epoch state, so only a commit needs this.
+                self.hierarchy.clear_owned();
                 telemetry.committed_epochs += 1;
                 window.on_commit();
             } else {

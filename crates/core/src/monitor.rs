@@ -3,7 +3,7 @@
 //! [`cache_sim::TrafficObserver`] so it plugs into the memory controller of
 //! the simulated system.
 
-use auto_cuckoo::{build_store, AutoCuckooFilter, PatternStore};
+use auto_cuckoo::{build_store, PatternStore};
 use cache_sim::{Cycle, LineAddr, TrafficObserver};
 
 use crate::config::{BuildMonitorError, MonitorConfig};
@@ -135,21 +135,6 @@ impl PiPoMonitor {
     #[must_use]
     pub fn pattern_store(&self) -> &dyn PatternStore {
         self.store.as_ref()
-    }
-
-    /// The embedded Auto-Cuckoo filter (read access for experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the monitor was built with a non-`auto` backend; use
-    /// [`Self::pattern_store`] for backend-agnostic access.
-    #[deprecated(since = "0.1.0", note = "use `pattern_store()` instead")]
-    #[must_use]
-    pub fn filter(&self) -> &AutoCuckooFilter {
-        self.store
-            .as_any()
-            .downcast_ref::<AutoCuckooFilter>()
-            .expect("PiPoMonitor::filter() requires the `auto` backend")
     }
 
     /// Pending prefetch queue (read access for experiments).
@@ -323,23 +308,6 @@ mod tests {
                 "{backend}: store length diverged"
             );
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_filter_shim_still_works_on_auto() {
-        let mut m = monitor();
-        m.on_memory_fetch(LineAddr(9), 0);
-        assert!(m.filter().contains(9));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "requires the `auto` backend")]
-    fn deprecated_filter_shim_panics_on_other_backends() {
-        let cfg = MonitorConfig::paper_default().with_backend(auto_cuckoo::FilterBackend::Bloom);
-        let m = PiPoMonitor::new(cfg).expect("valid config");
-        let _ = m.filter();
     }
 
     /// End-to-end: a line ping-ponging between LLC and memory gets tagged,

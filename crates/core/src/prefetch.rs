@@ -13,8 +13,42 @@
 //! earliest release time so callers only drain when something is ready.
 
 use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cache_sim::{Cycle, LineAddr};
+
+/// Multiply-shift hashing for the member set's line-address keys, in place
+/// of the default SipHash, which the set paid on every `schedule` and
+/// drain. SipHash guards against keys crafted to collide; here the keys are
+/// simulated line addresses, and the set holds only the prefetches pending
+/// within one `prefetch_delay`. The odd multiplier (the 64-bit golden
+/// ratio) spreads every key bit into the high half of the product, and
+/// `finish` folds that half into the low bits the table indexes by, so
+/// line addresses a power-of-two stride apart do not collide.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// The set of pending lines.
+type LineSet = HashSet<LineAddr, BuildHasherDefault<LineHasher>>;
 
 /// A FIFO of pending prefetches with release times.
 ///
@@ -35,7 +69,7 @@ pub struct PrefetchQueue {
     delay: Cycle,
     pending: VecDeque<(Cycle, LineAddr)>,
     /// Lines currently in `pending`, for O(1) duplicate suppression.
-    members: HashSet<LineAddr>,
+    members: LineSet,
     scheduled_total: u64,
 }
 
@@ -68,7 +102,7 @@ impl PrefetchQueue {
         Self {
             delay,
             pending: VecDeque::new(),
-            members: HashSet::new(),
+            members: LineSet::default(),
             scheduled_total: 0,
         }
     }
@@ -212,6 +246,20 @@ mod tests {
         // After draining, the line may be scheduled again.
         q.schedule(LineAddr(1), 50);
         assert_eq!(q.scheduled_total(), 2);
+    }
+
+    #[test]
+    fn strided_lines_stay_distinct_members() {
+        // Lines one LLC set-stride apart share their low address bits; the
+        // member set must still tell them apart.
+        let mut q = PrefetchQueue::new(1);
+        for i in 0..1000u64 {
+            q.schedule(LineAddr(i << 12), i);
+            q.schedule(LineAddr(i << 12), i);
+        }
+        assert_eq!(q.len(), 1000);
+        assert_eq!(q.drain_due(u64::MAX - 1).len(), 1000);
+        assert!(q.is_empty());
     }
 
     #[test]

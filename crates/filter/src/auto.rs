@@ -9,7 +9,7 @@
 //! attacks (paper §V-A, §VI-B).
 
 use crate::entry::Entry;
-use crate::hash::{alternate_bucket, candidate_buckets, fingerprint_of, DetRng, IndexPair};
+use crate::hash::{alternate_bucket, fingerprint_and_buckets, DetRng, IndexPair};
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::{CollisionCensus, FilterStats};
 pub use crate::store::QueryOutcome;
@@ -135,8 +135,7 @@ impl AutoCuckooFilter {
     ///   (autonomic deletion) so the insertion still succeeds.
     pub fn query(&mut self, item: u64) -> QueryOutcome {
         self.stats.queries += 1;
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         let thr = self.params.security_threshold();
 
         if let Some(slot) = self.find_match(pair, fp) {
@@ -178,16 +177,14 @@ impl AutoCuckooFilter {
     /// candidate bucket. Subject to the filter's false-positive rate.
     #[must_use]
     pub fn contains(&self, item: u64) -> bool {
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         self.find_match(pair, fp).is_some()
     }
 
     /// Current `Security` value of the item's record, if present.
     #[must_use]
     pub fn security_of(&self, item: u64) -> Option<u8> {
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         self.find_match(pair, fp)
             .map(|slot| self.table[slot].security())
     }

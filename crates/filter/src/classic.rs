@@ -16,7 +16,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::entry::Entry;
-use crate::hash::{alternate_bucket, candidate_buckets, fingerprint_of, DetRng, IndexPair};
+use crate::hash::{alternate_bucket, fingerprint_and_buckets, DetRng, IndexPair};
 use crate::params::{FilterParams, ParamsError};
 use crate::stats::FilterStats;
 use crate::store::QueryOutcome;
@@ -178,8 +178,7 @@ impl ClassicCuckooFilter {
     /// classic algorithm drops it on the floor.
     pub fn query(&mut self, item: u64) -> QueryOutcome {
         self.stats.queries += 1;
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         let thr = self.params.security_threshold();
 
         if let Some(slot) = self.find_match(pair, fp) {
@@ -225,8 +224,7 @@ impl ClassicCuckooFilter {
     /// Current `Security` value of the item's record, if present.
     #[must_use]
     pub fn security_of(&self, item: u64) -> Option<u8> {
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         self.find_match(pair, fp)
             .map(|slot| self.table[slot].security())
     }
@@ -240,8 +238,7 @@ impl ClassicCuckooFilter {
     /// nowhere (matching the classic algorithm, which loses it — another
     /// reason hardware wants autonomic deletion instead).
     pub fn insert(&mut self, item: u64) -> Result<u32, InsertError> {
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         self.insert_at(pair, fp)
     }
 
@@ -297,8 +294,7 @@ impl ClassicCuckooFilter {
     /// Whether a record matching the item's fingerprint exists.
     #[must_use]
     pub fn contains(&self, item: u64) -> bool {
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         self.find_match(pair, fp).is_some()
     }
 
@@ -308,8 +304,7 @@ impl ClassicCuckooFilter {
     /// fingerprint collisions make it a *false deletion* primitive, letting
     /// an adversary remove a victim's record via a colliding address.
     pub fn delete(&mut self, item: u64) -> DeleteOutcome {
-        let fp = fingerprint_of(item, &self.params);
-        let pair = candidate_buckets(item, &self.params);
+        let (fp, pair) = fingerprint_and_buckets(item, &self.params);
         match self.find_match(pair, fp) {
             Some(slot) => {
                 self.table[slot].evict();
@@ -349,6 +344,7 @@ impl ClassicCuckooFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::{candidate_buckets, fingerprint_of};
 
     fn params(mnk: u32) -> FilterParams {
         FilterParams::builder()

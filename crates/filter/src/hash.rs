@@ -129,10 +129,19 @@ pub fn fingerprint_offset(fingerprint: u16, params: &FilterParams) -> usize {
 #[inline]
 #[must_use]
 pub fn candidate_buckets(item: u64, params: &FilterParams) -> IndexPair {
-    let primary = primary_index(item, params);
+    fingerprint_and_buckets(item, params).1
+}
+
+/// An item's fingerprint ([`fingerprint_of`]) together with its candidate
+/// buckets ([`candidate_buckets`]), hashing the fingerprint once for both:
+/// the alternate bucket is derived from the returned fingerprint.
+#[inline]
+#[must_use]
+pub fn fingerprint_and_buckets(item: u64, params: &FilterParams) -> (u16, IndexPair) {
     let fp = fingerprint_of(item, params);
+    let primary = primary_index(item, params);
     let alternate = primary ^ fingerprint_offset(fp, params);
-    IndexPair { primary, alternate }
+    (fp, IndexPair { primary, alternate })
 }
 
 /// Given a bucket holding `fingerprint`, returns the record's other candidate
@@ -209,6 +218,7 @@ mod tests {
         for item in 0..10_000u64 {
             let pair = candidate_buckets(item * 64, &p);
             let fp = fingerprint_of(item * 64, &p);
+            assert_eq!(fingerprint_and_buckets(item * 64, &p), (fp, pair));
             assert_eq!(alternate_bucket(pair.primary, fp, &p), pair.alternate);
             assert_eq!(alternate_bucket(pair.alternate, fp, &p), pair.primary);
         }

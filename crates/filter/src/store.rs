@@ -216,8 +216,8 @@ pub trait PatternStore: fmt::Debug + Send {
     /// [`clone_box`](Self::clone_box).
     fn clone_from_store(&mut self, source: &dyn PatternStore);
 
-    /// Upcast for backend-specific downcasting (e.g. the deprecated
-    /// `PiPoMonitor::filter()` shim).
+    /// Upcast for backend-specific downcasting (`clone_from_store`'s
+    /// same-backend copy).
     fn as_any(&self) -> &dyn Any;
 }
 

@@ -20,6 +20,19 @@ const STREAM_OFFSET_LINES: u64 = 1 << 28;
 /// LLC set count of the paper's Table II configuration; thrash-tier lines
 /// are spaced by this so they collide in a single LLC set.
 const DEFAULT_LLC_SETS: u64 = 4096;
+/// `2^53`: the resolution of the uniform draw the probabilities are
+/// compared against.
+const DRAW_SCALE: f64 = (1u64 << 53) as f64;
+
+/// Integer form of the float test `draw < p`, for a uniform `f64` draw
+/// built from 53 random bits `k` as `k · 2^-53` (the `rand` shim's
+/// `gen::<f64>()`): `k · 2^-53 < p` holds exactly when
+/// `k < ceil(p · 2^53)`. Scaling by a power of two is exact, and an integer
+/// is below a real `x` exactly when it is below `ceil(x)`.
+#[inline]
+fn threshold(p: f64) -> u64 {
+    (p * DRAW_SCALE).ceil() as u64
+}
 
 /// A deterministic stochastic address stream for one benchmark on one core.
 ///
@@ -45,10 +58,9 @@ const DEFAULT_LLC_SETS: u64 = 4096;
 pub struct ProfileSource {
     profile: BenchProfile,
     rng: StdRng,
-    hot_base: u64,
-    churn_base: u64,
-    thrash_base: u64,
-    stream_base: u64,
+    /// First line of this core's region. The hot tier starts here; the
+    /// other tiers start at fixed offsets from it.
+    region: u64,
     churn_pos: u64,
     thrash_pos: u64,
     stream_pos: u64,
@@ -60,6 +72,13 @@ pub struct ProfileSource {
     /// Precomputed think-gap distribution (`0..=2 * think_mean`); drawn on
     /// every access.
     think_dist: Uniform,
+    /// [`threshold`]s of the cumulative tier probabilities `p_hot`,
+    /// `p_hot + p_churn` and `p_hot + p_churn + p_thrash`: the tier pick
+    /// compares a raw 53-bit draw with integers instead of converting it to
+    /// `f64`.
+    tier_below: [u64; 3],
+    /// [`threshold`] of the write fraction.
+    write_below: u64,
 }
 
 impl ProfileSource {
@@ -93,16 +112,19 @@ impl ProfileSource {
         Self {
             profile: *profile,
             rng: StdRng::seed_from_u64(seed ^ ((core_index as u64) << 32)),
-            hot_base: region,
-            churn_base: region + CHURN_OFFSET_LINES,
-            thrash_base: region + THRASH_OFFSET_LINES,
-            stream_base: region + STREAM_OFFSET_LINES,
+            region,
             churn_pos: 0,
             thrash_pos: 0,
             stream_pos: 0,
             llc_sets,
             hot_dist: Uniform::new(0, profile.hot_lines),
             think_dist: Uniform::new_inclusive(0, profile.think_mean * 2),
+            tier_below: [
+                threshold(profile.p_hot),
+                threshold(profile.p_hot + profile.p_churn),
+                threshold(profile.p_hot + profile.p_churn + profile.p_thrash),
+            ],
+            write_below: threshold(profile.write_fraction),
         }
     }
 
@@ -112,28 +134,35 @@ impl ProfileSource {
         &self.profile
     }
 
+    /// The 53 random bits behind one uniform `f64` draw in `[0, 1)`.
+    #[inline]
+    fn draw53(&mut self) -> u64 {
+        self.rng.gen::<u64>() >> 11
+    }
+
     fn pick_line(&mut self) -> u64 {
-        let r: f64 = self.rng.gen();
+        let r = self.draw53();
+        let [hot, churn, thrash] = self.tier_below;
         let p = &self.profile;
-        if r < p.p_hot {
+        if r < hot {
             // Uniform re-reference within the private-cache-resident set.
-            self.hot_base + self.hot_dist.sample(&mut self.rng)
-        } else if r < p.p_hot + p.p_churn {
+            self.region + self.hot_dist.sample(&mut self.rng)
+        } else if r < churn {
             // Sequential sweep over the LLC-scale set: every line is
             // periodically evicted and re-fetched (array-sweep behaviour).
             self.churn_pos = wrap_incr(self.churn_pos, p.churn_lines);
-            self.churn_base + self.churn_pos
-        } else if r < p.p_hot + p.p_churn + p.p_thrash {
+            self.region + CHURN_OFFSET_LINES + self.churn_pos
+        } else if r < thrash {
             // Round-robin over same-LLC-set lines exceeding associativity:
             // classic LRU pathology where every access conflict-misses, so
             // the same lines are re-fetched from memory within a short
             // window — the benign Ping-Pong pattern.
             self.thrash_pos = wrap_incr(self.thrash_pos, p.thrash_lines);
-            self.thrash_base + self.thrash_pos * self.llc_sets
+            self.region + THRASH_OFFSET_LINES + self.thrash_pos * self.llc_sets
         } else {
             // Streaming through a footprint much larger than the LLC.
             self.stream_pos = wrap_incr(self.stream_pos, p.stream_lines);
-            self.stream_base + self.stream_pos
+            self.region + STREAM_OFFSET_LINES + self.stream_pos
         }
     }
 }
@@ -152,7 +181,7 @@ fn wrap_incr(pos: u64, len: u64) -> u64 {
 impl AccessSource for ProfileSource {
     fn next_access(&mut self) -> Option<Access> {
         let line = self.pick_line();
-        let kind = if self.rng.gen::<f64>() < self.profile.write_fraction {
+        let kind = if self.draw53() < self.write_below {
             AccessKind::Write
         } else {
             AccessKind::Read
@@ -172,11 +201,11 @@ impl AccessSource for ProfileSource {
     /// write draw, think draw), so the stream is bit-identical however the
     /// caller mixes the two entry points.
     fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
-        let p = self.profile;
+        let write_below = self.write_below;
         let think_dist = self.think_dist;
         for _ in 0..max {
             let line = self.pick_line();
-            let kind = if self.rng.gen::<f64>() < p.write_fraction {
+            let kind = if self.draw53() < write_below {
                 AccessKind::Write
             } else {
                 AccessKind::Read
@@ -248,21 +277,55 @@ mod tests {
 
     #[test]
     fn refill_matches_next_access_stream() {
-        let p = benchmark("hmmer").expect("known");
-        let mut scalar = ProfileSource::new(p, 3, 1234);
-        let mut batched = ProfileSource::new(p, 3, 1234);
-        let mut buf = Vec::new();
-        // Mixed batch sizes, interleaved with scalar pulls on the same
-        // source: the override must stay draw-for-draw identical.
-        for round in 0..50 {
-            let max = 1 + (round * 7) % 64;
-            buf.clear();
-            batched.refill(&mut buf, max);
-            assert_eq!(buf.len(), max, "infinite stream must fill the batch");
-            for access in &buf {
-                assert_eq!(Some(*access), scalar.next_access());
+        for p in crate::spec::BENCHMARKS {
+            for seed in [1234, 0, 7] {
+                let mut scalar = ProfileSource::new(p, 3, seed);
+                let mut batched = ProfileSource::new(p, 3, seed);
+                let mut buf = Vec::new();
+                // Mixed batch sizes, interleaved with scalar pulls on the
+                // same source: the override must stay draw-for-draw
+                // identical.
+                for round in 0..50 {
+                    let max = 1 + (round * 7) % 64;
+                    buf.clear();
+                    batched.refill(&mut buf, max);
+                    assert_eq!(buf.len(), max, "infinite stream must fill the batch");
+                    for access in &buf {
+                        assert_eq!(
+                            Some(*access),
+                            scalar.next_access(),
+                            "{} seed {seed}",
+                            p.name
+                        );
+                    }
+                    assert_eq!(batched.next_access(), scalar.next_access());
+                }
             }
-            assert_eq!(batched.next_access(), scalar.next_access());
+        }
+    }
+
+    /// The integer threshold decides exactly as the float comparison it
+    /// replaces, on both sides of the boundary: `k < ceil(p·2^53)` equals
+    /// `k·2^-53 < p` for every 53-bit draw `k` next to the threshold.
+    #[test]
+    fn integer_thresholds_match_float_comparisons() {
+        let mut probabilities = vec![0.0, 1e-4, 1.0];
+        for p in crate::spec::BENCHMARKS {
+            probabilities.extend([
+                p.p_hot,
+                p.p_hot + p.p_churn,
+                p.p_hot + p.p_churn + p.p_thrash,
+                p.write_fraction,
+            ]);
+        }
+        let unit = 1.0 / DRAW_SCALE;
+        for p in probabilities {
+            let c = threshold(p);
+            // Draws are 53-bit: only `0..2^53` can occur.
+            let draws = [c.checked_sub(1), Some(c), c.checked_add(1)];
+            for k in draws.into_iter().flatten().filter(|&k| k < 1 << 53) {
+                assert_eq!(k < c, (k as f64) * unit < p, "p = {p:e}, k = {k}");
+            }
         }
     }
 
@@ -289,16 +352,17 @@ mod tests {
     fn tier_frequencies_match_probabilities() {
         let p = benchmark("libquantum").expect("known");
         let mut src = ProfileSource::new(p, 0, 7);
-        let hot_end = src.hot_base + p.hot_lines;
-        let churn_end = src.churn_base + p.churn_lines;
+        let churn_base = src.region + CHURN_OFFSET_LINES;
+        let hot_end = src.region + p.hot_lines;
+        let churn_end = churn_base + p.churn_lines;
         let mut hot = 0u32;
         let mut churn = 0u32;
         let n = 100_000;
         for _ in 0..n {
             let line = src.next_access().expect("infinite").addr.0 / LINE_SIZE;
-            if (src.hot_base..hot_end).contains(&line) {
+            if (src.region..hot_end).contains(&line) {
                 hot += 1;
-            } else if (src.churn_base..churn_end).contains(&line) {
+            } else if (churn_base..churn_end).contains(&line) {
                 churn += 1;
             }
         }
@@ -340,7 +404,8 @@ mod tests {
     fn churn_lines_are_revisited() {
         let p = benchmark("libquantum").expect("known");
         let mut src = ProfileSource::new(p, 0, 5);
-        let churn_range = src.churn_base..src.churn_base + p.churn_lines;
+        let churn_base = src.region + CHURN_OFFSET_LINES;
+        let churn_range = churn_base..churn_base + p.churn_lines;
         let mut first_seen = std::collections::HashMap::new();
         let mut revisits = 0u32;
         // Enough accesses for the churn sweep to wrap: churn_lines / p_churn.

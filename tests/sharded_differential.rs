@@ -87,11 +87,21 @@ fn run_case<O: TrafficObserver>(
     observer: O,
     run: impl FnOnce(&mut System<O>) -> SimReport,
 ) -> (Fingerprint, System<O>) {
+    run_sources(cores, |core| source_for(core, params), observer, run)
+}
+
+/// [`run_case`] with core `c` running `source(c)`.
+fn run_sources<O: TrafficObserver>(
+    cores: usize,
+    source: impl Fn(usize) -> Box<dyn AccessSource + Send>,
+    observer: O,
+    run: impl FnOnce(&mut System<O>) -> SimReport,
+) -> (Fingerprint, System<O>) {
     let mut config = SystemConfig::small_test();
     config.cores = cores;
     let mut system = System::new(config, observer);
     for core in 0..cores {
-        system.set_source(CoreId(core), source_for(core, params));
+        system.set_source(CoreId(core), source(core));
     }
     let report = run(&mut system);
     (fingerprint(&report), system)
@@ -244,4 +254,89 @@ proptest! {
         let sharded = run_traced(&|s| s.run_sharded(instructions, spec));
         prop_assert_eq!(&seq, &sharded, "cores={} shards={} epoch={}", cores, shards, epoch_cycles);
     }
+}
+
+/// Core `core`'s stream (of four) for the line-ownership case, in rounds
+/// of `round` accesses. In round `r`, core `r % 4` writes shared line
+/// `r % 4` first and last, and every other core reads it halfway through: a
+/// line one core owns is read by other cores, then written again by its
+/// owner. The rest of the stream writes and re-reads a few private lines
+/// (owned L1 write hits, which let parallel epochs commit) or cycles ten
+/// lines through one LLC set (memory refetches the monitor captures, so
+/// its prefetches force sequential windows).
+fn ownership_source(core: usize, round: u64) -> Box<dyn AccessSource + Send> {
+    let region = (1 + core as u64) * (1 << 14);
+    let mut n = 0u64;
+    Box::new(move || {
+        n += 1;
+        let (r, pos) = (n / round, n % round);
+        let shared = Addr((r % 4) * 64);
+        let owner = r % 4 == core as u64;
+        let access = if owner && (pos == 0 || pos == round - 1) {
+            Access::write(shared)
+        } else if !owner && pos == round / 2 {
+            Access::read(shared)
+        } else if n.is_multiple_of(5) {
+            // `small_test`'s LLC has 128 sets of 8 ways.
+            Access::read(Addr((region + 44 + core as u64 + (n / 5 % 10) * 128) * 64))
+        } else {
+            // L1 sets 4..10: the shared lines keep L1 sets 0..3 to
+            // themselves, so an owned copy stays resident.
+            let addr = Addr((region + 4 + n % 6) * 64);
+            if n.is_multiple_of(2) {
+                Access::write(addr)
+            } else {
+                Access::read(addr)
+            }
+        };
+        Some(access.after(n % 3))
+    })
+}
+
+/// Owned L1 copies (sole sharer of a dirty LLC copy, so write hits skip the
+/// upgrade) must not outlive a committed parallel epoch in which another
+/// core read the line: the epoch's mirrors never see the private flag. The
+/// grid mixes committed epochs, rollbacks and monitor-forced sequential
+/// windows, and every run must stay bit-identical to the sequential engine.
+#[test]
+fn owned_lines_survive_epoch_boundaries_bit_identically() {
+    let instructions = 6_000;
+    let (mut committed, mut rollbacks, mut sequential) = (0, 0, 0);
+    for round in [24, 150, 600] {
+        for shards in [2, 4] {
+            for epoch_cycles in [300, 2_000, 12_000] {
+                let spec = ShardSpec::new(shards).with_epoch_cycles(epoch_cycles);
+                let case = format!("round={round} shards={shards} epoch={epoch_cycles}");
+                let source = |core| ownership_source(core, round);
+
+                let (seq, _) = run_sources(4, source, NullObserver, |s| s.run(instructions));
+                let (sharded, system) = run_sources(4, source, NullObserver, |s| {
+                    s.run_sharded(instructions, spec)
+                });
+                assert_eq!(seq, sharded, "unmonitored {case}");
+                let t = system.epoch_telemetry().expect("telemetry recorded");
+                committed += t.committed_epochs;
+                rollbacks += t.rollbacks;
+
+                let monitor =
+                    || PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config");
+                let (seq, seq_system) = run_sources(4, source, monitor(), |s| s.run(instructions));
+                let (sharded, system) =
+                    run_sources(4, source, monitor(), |s| s.run_sharded(instructions, spec));
+                assert_eq!(seq, sharded, "monitored {case}");
+                assert_eq!(
+                    seq_system.observer().stats(),
+                    system.observer().stats(),
+                    "monitor stats, {case}"
+                );
+                let t = system.epoch_telemetry().expect("telemetry recorded");
+                committed += t.committed_epochs;
+                rollbacks += t.rollbacks;
+                sequential += t.sequential_windows;
+            }
+        }
+    }
+    assert!(committed > 0, "no parallel epoch committed");
+    assert!(rollbacks > 0, "no epoch rolled back");
+    assert!(sequential > 0, "no sequential window ran");
 }
