@@ -3,8 +3,8 @@
 //! Every binary accepts the same surface:
 //!
 //! ```text
-//! <binary> [scale] [--json PATH] [--sequential | --threads N] [--shards N]
-//!          [--filter BACKEND] [--help]
+//! <binary> [scale] [--json PATH] [--sequential | --threads N]
+//!          [--filter BACKEND] [--trace PATH] [--store PATH] [--help]
 //! ```
 //!
 //! * `scale` — one optional unsigned integer whose meaning is per-binary
@@ -15,14 +15,6 @@
 //!   behaviour; per-cell results are bit-identical either way).
 //! * `--threads N` — evaluate sweep cells on `N` worker threads. The default
 //!   is one thread per host core.
-//! * `--shards N` — additionally parallelize *within* each simulated system:
-//!   every `System::run` becomes an epoch-parallel `System::run_sharded`
-//!   with `N` shards (bit-identical results; see `ARCHITECTURE.md`).
-//!   Binaries whose cells do not run whole systems reject the flag.
-//!   `--threads` and `--shards` multiply: `--threads T --shards S` can keep
-//!   up to `T × S` worker threads runnable, so pair `--shards` with an
-//!   explicit `--threads`/`--sequential` cell budget when the product would
-//!   oversubscribe the host.
 //! * `--filter BACKEND` — pattern-store backend for the simulated monitors
 //!   (`auto`, `classic`, `bloom` or `xor`; default `auto`, the paper's
 //!   hardware design). Binaries that do not build monitors — or that sweep
@@ -50,7 +42,7 @@ use crate::sweep::ExecMode;
 
 /// Usage string printed alongside argument errors and by `--help`.
 pub const USAGE: &str = "\
-usage: <binary> [scale] [--json PATH] [--sequential | --threads N] [--shards N]
+usage: <binary> [scale] [--json PATH] [--sequential | --threads N]
                 [--filter auto|classic|bloom|xor] [--trace PATH]
                 [--store PATH] [--help]
 
@@ -62,8 +54,6 @@ usage: <binary> [scale] [--json PATH] [--sequential | --threads N] [--shards N]
                     (conflicts with --threads)
   --threads N       evaluate sweep cells on N worker threads
                     (default: one per host core; conflicts with --sequential)
-  --shards N        epoch-parallel sharding inside each simulated system
-                    (System::run_sharded; bit-identical to unsharded runs)
   --filter BACKEND  pattern-store backend for the simulated monitors:
                     auto (paper default), classic, bloom or xor
   --trace PATH      replay a recorded pipo-trace file (v1 text or v2
@@ -82,9 +72,6 @@ pub struct HarnessArgs {
     pub json: Option<String>,
     /// How to execute sweep cells.
     pub mode: ExecMode,
-    /// Epoch-parallel shards inside each simulated system (`--shards N`);
-    /// `None` leaves every system on the plain sequential engine.
-    pub shards: Option<usize>,
     /// Pattern-store backend for monitors (`--filter BACKEND`); `None`
     /// leaves the [`MonitorConfig`](pipomonitor::MonitorConfig) default
     /// (`auto`) in place.
@@ -130,7 +117,6 @@ impl HarnessArgs {
             scale: None,
             json: None,
             mode: ExecMode::host_default(),
-            shards: None,
             filter: None,
             trace: None,
             store: None,
@@ -160,16 +146,6 @@ impl HarnessArgs {
                     }
                     saw_threads = Some(threads);
                     out.mode = ExecMode::with_threads(threads);
-                }
-                "--shards" => {
-                    let raw = it.next().ok_or("--shards needs a shard count")?;
-                    let shards: usize = raw
-                        .parse()
-                        .map_err(|_| format!("--shards expects a positive integer, got {raw:?}"))?;
-                    if shards == 0 {
-                        return Err("--shards expects a positive integer, got 0".into());
-                    }
-                    out.shards = Some(shards);
                 }
                 "--filter" => {
                     let raw = it.next().ok_or("--filter needs a backend name")?;
@@ -222,26 +198,12 @@ impl HarnessArgs {
         }
     }
 
-    /// For binaries whose cells do not run whole systems: rejects `--shards`
-    /// (exit 2) instead of silently ignoring it. The message leads with the
-    /// offending flag so a user scanning stderr (or a script grepping it)
-    /// sees *which* flag was rejected, not just a usage dump
-    /// (`crates/bench/tests/cli.rs` pins this for every binary).
-    pub fn expect_no_shards(&self) {
-        if let Some(shards) = self.shards {
-            eprintln!(
-                "error: unsupported flag `--shards {shards}`: this binary does not \
-                 simulate whole systems, so epoch-parallel sharding has no effect"
-            );
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
-
     /// For binaries that do not build monitors (or sweep the backends
     /// themselves): rejects `--filter` (exit 2) instead of silently ignoring
-    /// it. Mirrors [`expect_no_shards`](Self::expect_no_shards): the message
-    /// leads with the offending flag.
+    /// it. The message leads with the offending flag so a user scanning
+    /// stderr (or a script grepping it) sees *which* flag was rejected, not
+    /// just a usage dump (`crates/bench/tests/cli.rs` pins this for every
+    /// binary).
     pub fn expect_no_filter(&self) {
         if let Some(backend) = self.filter {
             eprintln!(
@@ -255,7 +217,7 @@ impl HarnessArgs {
 
     /// For binaries that do not replay recorded traces: rejects `--trace`
     /// (exit 2) instead of silently ignoring it. Mirrors
-    /// [`expect_no_shards`](Self::expect_no_shards): the message leads with
+    /// [`expect_no_filter`](Self::expect_no_filter): the message leads with
     /// the offending flag.
     pub fn expect_no_trace(&self) {
         if let Some(path) = &self.trace {
@@ -270,7 +232,7 @@ impl HarnessArgs {
 
     /// For binaries whose cells are not store-keyed (no `System::run` sweep
     /// grid): rejects `--store` (exit 2) instead of silently ignoring it.
-    /// Mirrors [`expect_no_shards`](Self::expect_no_shards): the message
+    /// Mirrors [`expect_no_filter`](Self::expect_no_filter): the message
     /// leads with the offending flag.
     pub fn expect_no_store(&self) {
         if let Some(path) = &self.store {
@@ -305,12 +267,6 @@ impl HarnessArgs {
         self.filter.unwrap_or(FilterBackend::Auto)
     }
 
-    /// The `--shards` value as a shard count, `1` (sequential) when absent.
-    #[must_use]
-    pub fn shards_or_sequential(&self) -> usize {
-        self.shards.unwrap_or(1)
-    }
-
     /// The scale argument read as instructions per core
     /// ([`DEFAULT_INSTRUCTIONS`](crate::DEFAULT_INSTRUCTIONS) when absent).
     #[must_use]
@@ -343,22 +299,10 @@ mod tests {
         assert_eq!(args.instructions(), 50_000);
         assert_eq!(args.json.as_deref(), Some("out.json"));
         assert_eq!(args.mode.threads(), 3);
-        assert_eq!(args.shards, None);
-        assert_eq!(args.shards_or_sequential(), 1);
         assert_eq!(
             parse(&["--sequential"]).expect("valid").mode,
             ExecMode::Sequential
         );
-    }
-
-    #[test]
-    fn shards_flag_parses_and_validates() {
-        let args = parse(&["--shards", "4"]).expect("valid");
-        assert_eq!(args.shards, Some(4));
-        assert_eq!(args.shards_or_sequential(), 4);
-        assert!(parse(&["--shards"]).unwrap_err().contains("shard count"));
-        assert!(parse(&["--shards", "0"]).unwrap_err().contains('0'));
-        assert!(parse(&["--shards", "four"]).unwrap_err().contains("four"));
     }
 
     #[test]
@@ -404,7 +348,6 @@ mod tests {
             "--json",
             "--sequential",
             "--threads",
-            "--shards",
             "--filter",
             "--trace",
             "--store",

@@ -28,7 +28,6 @@ struct DelayResult {
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_trace();
     args.expect_no_store();
     let windows = args.scale_or(150) as usize;

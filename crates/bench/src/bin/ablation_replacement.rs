@@ -94,7 +94,6 @@ fn main() {
     }
     // Only the mix sweep is store-keyed; the attack cells above always run
     // (they are not `System::run` cells and have no canonical key).
-    let sweep = sweep.with_shards(args.shards_or_sequential());
     let mut store = args.open_store();
     let started = std::time::Instant::now();
     let (mix_runs, outcome) = sweep.run_with_store(args.mode, store.as_mut());

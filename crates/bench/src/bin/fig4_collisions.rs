@@ -30,7 +30,6 @@ struct CollisionResult {
 
 fn main() {
     let args = HarnessArgs::parse();
-    args.expect_no_shards();
     args.expect_no_filter();
     args.expect_no_trace();
     args.expect_no_store();

@@ -1,10 +1,10 @@
 //! `pipo-serve`: long-running sweep service over the persistent result store.
 //!
-//! Server mode keeps one [`ResultStore`] and one worker pool resident and
-//! answers line-JSON requests over TCP (see `pipo_bench::serve` for the
-//! protocol): warm sweep cells come back in microseconds, cold cells are
-//! simulated across the pool, streamed as they finish and written back to
-//! the store. Client mode is a one-shot request sender so scripts (and the
+//! Server mode keeps one [`ResultStore`] resident and answers line-JSON
+//! requests over TCP (see `pipo_bench::serve` for the protocol): warm sweep
+//! cells come back in microseconds, cold cells are simulated across
+//! `--workers` threads, streamed as they finish and written back to the
+//! store. Client mode is a one-shot request sender so scripts (and the
 //! CI smoke step) can exercise the socket without extra tooling.
 //!
 //! ```text
@@ -34,7 +34,7 @@ server mode:
                         write if missing)
   --addr HOST:PORT      listen address (default 127.0.0.1:0 — a free port,
                         printed as `pipo-serve listening on ...`)
-  --workers N           worker-pool threads for cold sweep cells
+  --workers N           worker threads for cold sweep cells
                         (default: one per host core)
   --budget BYTES        LRU size budget for the store (default: unbounded)
   --max-instructions N  reject job cells asking for more than N instructions

@@ -19,7 +19,7 @@ pub mod store;
 pub mod sweep;
 
 use auto_cuckoo::FilterParams;
-use cache_sim::{CoreId, NullObserver, ShardSpec, SimReport, System, SystemConfig};
+use cache_sim::{CoreId, NullObserver, SimReport, System, SystemConfig};
 use pipo_workloads::{Mix, ProfileSource};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 
@@ -140,20 +140,6 @@ fn assign_mix_sources(system: &mut System<impl cache_sim::TrafficObserver>, mix:
     }
 }
 
-/// Runs a built system either sequentially (`shards <= 1`) or epoch-parallel
-/// with `shards` shards — bit-identical results either way.
-fn drive_system<O: cache_sim::TrafficObserver + Clone>(
-    system: &mut System<O>,
-    instructions: u64,
-    shards: usize,
-) -> SimReport {
-    if shards <= 1 {
-        system.run(instructions)
-    } else {
-        system.run_sharded(instructions, ShardSpec::new(shards))
-    }
-}
-
 /// Runs one mix on the unprotected baseline of the paper's default system.
 #[must_use]
 pub fn run_mix_baseline(mix: &Mix, instructions: u64, seed: u64) -> SimReport {
@@ -168,22 +154,9 @@ pub fn run_mix_baseline_on(
     instructions: u64,
     seed: u64,
 ) -> SimReport {
-    run_mix_baseline_sharded(mix, system_config, instructions, seed, 1)
-}
-
-/// [`run_mix_baseline_on`] with an epoch-parallel shard count (the
-/// `--shards` CLI knob; `1` = sequential, results bit-identical).
-#[must_use]
-pub fn run_mix_baseline_sharded(
-    mix: &Mix,
-    system_config: SystemConfig,
-    instructions: u64,
-    seed: u64,
-    shards: usize,
-) -> SimReport {
     let mut system = System::new(system_config, NullObserver);
     assign_mix_sources(&mut system, mix, seed);
-    drive_system(&mut system, instructions, shards)
+    system.run(instructions)
 }
 
 /// Runs one mix under PiPoMonitor only (no baseline), returning the raw
@@ -200,28 +173,10 @@ pub fn run_mix_monitored_only(
     instructions: u64,
     seed: u64,
 ) -> (SimReport, MonitorStats) {
-    run_mix_monitored_only_sharded(mix, system_config, monitor_config, instructions, seed, 1)
-}
-
-/// [`run_mix_monitored_only`] with an epoch-parallel shard count (the
-/// `--shards` CLI knob; `1` = sequential, results bit-identical).
-///
-/// # Panics
-///
-/// Panics if `monitor_config` holds invalid filter parameters.
-#[must_use]
-pub fn run_mix_monitored_only_sharded(
-    mix: &Mix,
-    system_config: SystemConfig,
-    monitor_config: MonitorConfig,
-    instructions: u64,
-    seed: u64,
-    shards: usize,
-) -> (SimReport, MonitorStats) {
     let monitor = PiPoMonitor::new(monitor_config).expect("valid monitor configuration");
     let mut system = System::new(system_config, monitor);
     assign_mix_sources(&mut system, mix, seed);
-    let report = drive_system(&mut system, instructions, shards);
+    let report = system.run(instructions);
     let stats = *system.observer().stats();
     (report, stats)
 }

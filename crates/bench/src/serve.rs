@@ -2,7 +2,7 @@
 //!
 //! The figure binaries are batch processes: they open a [`ResultStore`],
 //! answer what they can, simulate the rest and exit. `pipo-serve` keeps the
-//! same store (and one [`WorkerPool`]) resident, so interactive clients —
+//! same store resident, so interactive clients —
 //! plotting notebooks, CI smoke checks, other harness invocations — get
 //! warm sweep cells back in microseconds instead of re-simulating them.
 //!
@@ -21,9 +21,10 @@
 //! | `{"op":"shutdown"}`              | one ack line; the server then exits |
 //!
 //! A job's cells are looked up in the store first; warm cells stream back
-//! immediately (`"cached":true`). Cold cells are fanned across the shared
-//! [`WorkerPool`] and stream back as each finishes, in completion order,
-//! then the whole batch is written back to the store and flushed. The
+//! immediately (`"cached":true`). Cold cells are fanned across
+//! [`ServeOptions::workers`] threads by the sweep engine's [`run_cells`]
+//! and stream back as each finishes, in completion order; then the whole
+//! batch is written back to the store and flushed. The
 //! `"result"` object of a cell is byte-identical whether it was served warm
 //! or computed cold — [`MixRun::from_stored`] round-trips
 //! [`MixRun::to_json`] exactly — so clients may cache on either.
@@ -37,25 +38,26 @@
 //!
 //! One thread per connection. The store sits behind one mutex (it is
 //! single-writer by design; see the [`store`](crate::store) docs) and is
-//! locked only for lookups and write-backs, never across a simulation. The
-//! worker pool sits behind its own mutex, so concurrent jobs' cold batches
-//! run one batch at a time while warm traffic flows freely past them.
+//! locked only for lookups and write-backs, never across a simulation. A
+//! second mutex admits one cold batch at a time, so concurrent jobs' cold
+//! batches queue behind each other while warm traffic flows freely past
+//! them.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 use auto_cuckoo::{FilterBackend, FilterParams};
-use cache_sim::{Replacement, SystemConfig, WorkerPool};
+use cache_sim::{Replacement, SystemConfig};
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
 use crate::json::Json;
 use crate::store::{mix_cell_key, ResultStore, STORE_SCHEMA_VERSION};
-use crate::sweep::MixCell;
+use crate::sweep::{run_cells, ExecMode, MixCell};
 use crate::{run_mix_monitored_on, MixRun, DEFAULT_INSTRUCTIONS};
 
 /// Upper bound on one request line. Requests are a few hundred bytes in
@@ -71,7 +73,7 @@ pub struct ServeOptions {
     /// Listen address; `127.0.0.1:0` picks a free port (the chosen address
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Worker-pool participants available to a job's cold cells.
+    /// Worker threads available to a job's cold cells.
     pub workers: usize,
     /// Largest per-core instruction count a job cell may request. Simulation
     /// time is linear in this, so it is the server's admission control.
@@ -91,7 +93,8 @@ impl Default for ServeOptions {
 /// State shared by every connection handler.
 struct Shared {
     store: Mutex<ResultStore>,
-    pool: Mutex<WorkerPool>,
+    /// Held for the whole cold pass of a job: one cold batch at a time.
+    cold_batch: Mutex<()>,
     workers: usize,
     max_instructions: u64,
     addr: SocketAddr,
@@ -131,7 +134,7 @@ impl Server {
             listener,
             shared: Arc::new(Shared {
                 store: Mutex::new(store),
-                pool: Mutex::new(WorkerPool::new(workers)),
+                cold_batch: Mutex::new(()),
                 workers,
                 max_instructions: options.max_instructions.max(1),
                 addr,
@@ -410,33 +413,25 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Resu
     let pending: Vec<usize> = (0..cells.len()).filter(|&i| warm[i].is_none()).collect();
     let misses = pending.len() as u64;
 
-    // Cold pass: fan the batch across the shared worker pool, streaming each
-    // cell as it completes (completion order; the `"cell"` index identifies
-    // them). The pool's calling thread participates, so the dispatch runs on
-    // a scoped thread while this thread stays free to write responses.
+    // Cold pass: fan the batch across the sweep engine's worker threads,
+    // streaming each cell as it completes (completion order; the `"cell"`
+    // index identifies them). The dispatch runs on a scoped thread so this
+    // thread stays free to write responses.
     let mut incomplete = false;
     if !pending.is_empty() {
-        let pool = shared.pool.lock().expect("pool mutex not poisoned");
-        let participants = pool.capacity().min(pending.len()).max(1);
-        let next = AtomicUsize::new(0);
+        let _batch = shared.cold_batch.lock().expect("batch mutex not poisoned");
+        let mode = ExecMode::with_threads(shared.workers);
         let (tx, rx) = mpsc::channel::<Option<(usize, MixRun)>>();
-        let tx = Mutex::new(tx);
         let mut computed: Vec<Option<MixRun>> = vec![None; pending.len()];
         std::thread::scope(|scope| -> io::Result<()> {
-            let pool = &*pool;
             let cells = &cells;
             let pending = &pending;
-            let next = &next;
             let tx = &tx;
             scope.spawn(move || {
-                // A panicking cell poisons the dispatch; swallow it here and
+                // A panicking cell fails the dispatch; swallow it here and
                 // let the short message count surface it as a job error.
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    pool.run(participants, &|_| loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&cell_index) = pending.get(slot) else {
-                            break;
-                        };
+                    run_cells(mode, pending, |slot, &cell_index| {
                         let cell = &cells[cell_index];
                         let run = run_mix_monitored_on(
                             &cell.mix,
@@ -445,13 +440,10 @@ fn handle_job(shared: &Shared, request: &Json, out: &mut impl Write) -> io::Resu
                             cell.instructions,
                             cell.seed,
                         );
-                        let _ = tx
-                            .lock()
-                            .expect("sender mutex not poisoned")
-                            .send(Some((slot, run)));
+                        let _ = tx.send(Some((slot, run)));
                     });
                 }));
-                let _ = tx.lock().expect("sender mutex not poisoned").send(None);
+                let _ = tx.send(None);
             });
             let mut received = 0;
             while let Ok(Some((slot, run))) = rx.recv() {

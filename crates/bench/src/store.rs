@@ -10,11 +10,11 @@
 //!   of its *canonical cell key*: a single-line ASCII rendering of every
 //!   input that determines a cell's result (`SystemConfig`, mix + component
 //!   benchmarks, `MonitorConfig` including filter geometry and backend,
-//!   instructions, seed) prefixed with a schema version. The shard count is
-//!   deliberately **excluded**: `System::run_sharded` is bit-identical to
-//!   `System::run` for any shard count (pinned by the sharded regression
-//!   suites), so sharded and sequential runs share cache records. The full
-//!   key is stored next to each record and verified on lookup, so a hash
+//!   instructions, seed) prefixed with a schema version. How a sweep runs
+//!   its cells (sequentially or on N threads) is deliberately **excluded**:
+//!   per-cell results are bit-identical either way (pinned by the sweep
+//!   regression suite), so every execution mode shares cache records. The
+//!   full key is stored next to each record and verified on lookup, so a hash
 //!   collision degrades to a miss, never a wrong answer.
 //! * **Append-only log, validated on open** — the file is a header line
 //!   followed by framed records (`rec <hash> <keylen> <paylen> <checksum>`
@@ -126,9 +126,8 @@ fn monitor_part(monitor: &MonitorConfig) -> String {
 }
 
 /// Canonical key of a baseline (unprotected) run: everything that
-/// determines a `run_mix_baseline_sharded` result except the shard count
-/// (shard counts are bit-identical by construction). Also the key the sweep
-/// engine dedups baselines on.
+/// determines a `run_mix_baseline_on` result. Also the key the sweep engine
+/// dedups baselines on.
 #[must_use]
 pub fn baseline_cell_key(system: &SystemConfig, mix: &Mix, instructions: u64, seed: u64) -> String {
     format!(
@@ -576,17 +575,6 @@ mod tests {
             cell.instructions,
             cell.seed
         )));
-    }
-
-    #[test]
-    fn shards_do_not_change_the_key() {
-        let mk = |shards| {
-            mix_cell_key(
-                &MixCell::new("k", all_mixes()[1], MonitorConfig::paper_default(), 1000, 7)
-                    .with_shards(shards),
-            )
-        };
-        assert_eq!(mk(1), mk(4));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use pipo_workloads::Mix;
 use pipomonitor::{MonitorConfig, MonitorStats};
 
 use crate::store::{baseline_cell_key, mix_cell_key, ResultStore};
-use crate::{mix_run_from_parts, run_mix_baseline_sharded, run_mix_monitored_only_sharded, MixRun};
+use crate::{mix_run_from_parts, run_mix_baseline_on, run_mix_monitored_only, MixRun};
 
 /// How a sweep executes its cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,9 +147,6 @@ pub struct MixCell {
     pub instructions: u64,
     /// Workload seed shared by the baseline and protected runs.
     pub seed: u64,
-    /// Epoch-parallel shards inside each simulated system (`1` = the plain
-    /// sequential engine; results are bit-identical either way).
-    pub shards: usize,
 }
 
 impl MixCell {
@@ -169,7 +166,6 @@ impl MixCell {
             mix,
             instructions,
             seed,
-            shards: 1,
         }
     }
 
@@ -177,14 +173,6 @@ impl MixCell {
     #[must_use]
     pub fn on_system(mut self, system: SystemConfig) -> Self {
         self.system = system;
-        self
-    }
-
-    /// Runs this cell's systems epoch-parallel with `shards` shards
-    /// (`<= 1` keeps the sequential engine).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -211,15 +199,6 @@ impl Sweep {
     #[must_use]
     pub fn cells(&self) -> &[MixCell] {
         &self.cells
-    }
-
-    /// Applies one shard count to every cell (the `--shards` CLI knob).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        for cell in &mut self.cells {
-            cell.shards = shards.max(1);
-        }
-        self
     }
 
     /// Evaluates every cell and returns one [`MixRun`] per cell, in cell
@@ -307,21 +286,19 @@ impl Sweep {
             .chain(cold.iter().map(|&i| Work::Monitored(&self.cells[i])))
             .collect();
         let mut done = run_cells(mode, &work, |_, work| match work {
-            Work::Baseline(cell) => Done::Baseline(run_mix_baseline_sharded(
+            Work::Baseline(cell) => Done::Baseline(run_mix_baseline_on(
                 &cell.mix,
                 cell.system.clone(),
                 cell.instructions,
                 cell.seed,
-                cell.shards,
             )),
             Work::Monitored(cell) => {
-                let (report, stats) = run_mix_monitored_only_sharded(
+                let (report, stats) = run_mix_monitored_only(
                     &cell.mix,
                     cell.system.clone(),
                     cell.monitor,
                     cell.instructions,
                     cell.seed,
-                    cell.shards,
                 );
                 Done::Monitored(report, stats)
             }

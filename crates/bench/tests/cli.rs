@@ -1,52 +1,43 @@
 //! CLI contract tests for the harness binaries: which ones accept
-//! `--shards` (their cells run whole simulated systems), `--filter`
-//! (they build pattern-store-backed monitors with a selectable backend),
+//! `--filter` (they build pattern-store-backed monitors with a selectable
+//! backend),
 //! `--trace` (they replay recorded trace files), and `--store` (their
 //! sweeps are content-addressed result-store cells), and which reject
 //! them with exit status 2 and an error that names the offending flag.
 //! Conflicting execution-mode flags (`--sequential` with `--threads`)
-//! must be rejected the same way, in either order.
+//! must be rejected the same way, in either order, and a flag no binary
+//! declares (`--shards`) is an unknown flag everywhere.
 //!
 //! Cargo exposes each binary's path to this integration test through the
 //! `CARGO_BIN_EXE_<name>` environment variables, so these tests exercise
-//! the real executables — parser, `expect_no_shards`, and exit codes — not
-//! a reimplementation.
+//! the real executables — parser, `expect_no_*` checks, and exit codes —
+//! not a reimplementation.
 
 use std::process::Command;
 
-/// Binaries whose sweep cells simulate whole systems: `--shards N` is
-/// threaded into `System::run_sharded`. `throughput` has its own parser
-/// (different flag surface) but must honour the same accept/reject/exit-2
-/// contract.
-const ACCEPTS_SHARDS: &[(&str, &[&str])] = &[
-    ("fig8_performance", &["1", "--sequential"]),
-    ("sensitivity_secthr", &["1", "--sequential"]),
-    ("ablation_replacement", &["1", "--sequential"]),
-    ("trace_replay", &["1", "--sequential"]),
-    (
-        "throughput",
-        &[
-            "4000",
-            "--samples",
-            "1",
-            "--out",
-            "/tmp/cli_throughput.json",
-        ],
-    ),
-];
-
-/// Binaries whose cells never run whole systems (filter microbenchmarks,
-/// attack trials, analytical tables): `--shards` must be rejected.
-const REJECTS_SHARDS: &[&str] = &[
+/// Every harness binary. `throughput` and `pipo_serve` have their own
+/// parsers (different flag surfaces) but honour the same exit-2 contract
+/// for unknown flags.
+const ALL_BINARIES: &[&str] = &[
     "ablation_delay",
     "ablation_filter",
+    "ablation_replacement",
     "baseline_stateful",
     "fig3_occupancy",
     "fig4_collisions",
     "fig6_attack",
     "fig7_reverse",
+    "fig8_performance",
     "overhead_table",
+    "pipo_serve",
+    "sensitivity_secthr",
+    "throughput",
+    "trace_replay",
 ];
+
+/// The binaries with their own parsers; every other binary shares
+/// `pipo_bench::args`.
+const OWN_PARSER: &[&str] = &["pipo_serve", "throughput"];
 
 /// Binaries that build monitors with a selectable pattern-store backend:
 /// `--filter BACKEND` selects it. Each entry carries arguments that keep the
@@ -129,8 +120,8 @@ fn bin_path(name: &str) -> String {
 }
 
 #[test]
-fn shard_rejecting_binaries_exit_2_and_name_the_flag() {
-    for name in REJECTS_SHARDS {
+fn every_binary_rejects_shards_as_an_unknown_flag() {
+    for name in ALL_BINARIES {
         let output = Command::new(bin_path(name))
             .args(["--shards", "2"])
             .output()
@@ -142,61 +133,15 @@ fn shard_rejecting_binaries_exit_2_and_name_the_flag() {
         );
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(
-            stderr.contains("--shards"),
-            "{name}'s rejection must name the offending flag, got:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("error:"),
-            "{name}'s rejection must be an error line, got:\n{stderr}"
-        );
-    }
-}
-
-#[test]
-fn shard_accepting_binaries_run_with_shards() {
-    for (name, scale_args) in ACCEPTS_SHARDS {
-        let output = Command::new(bin_path(name))
-            .args(*scale_args)
-            .args(["--shards", "2"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(
-            output.status.code(),
-            Some(0),
-            "{name} must accept --shards (stderr: {stderr})"
-        );
-    }
-}
-
-#[test]
-fn shard_accepting_binaries_still_validate_the_count() {
-    // The flag being *supported* must not loosen its validation.
-    for (name, _) in ACCEPTS_SHARDS {
-        let output = Command::new(bin_path(name))
-            .args(["--shards", "0"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{name} must reject --shards 0"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--shards"),
-            "{name}'s validation error must name the flag, got:\n{stderr}"
+            stderr.contains("error: unknown") && stderr.contains("--shards"),
+            "{name} must reject --shards as unknown by name, got:\n{stderr}"
         );
     }
 }
 
 #[test]
 fn every_binary_helps_and_exits_zero() {
-    for name in REJECTS_SHARDS
-        .iter()
-        .copied()
-        .chain(ACCEPTS_SHARDS.iter().map(|(n, _)| *n))
-    {
+    for &name in ALL_BINARIES {
         let output = Command::new(bin_path(name))
             .arg("--help")
             .output()
@@ -204,12 +149,13 @@ fn every_binary_helps_and_exits_zero() {
         assert_eq!(output.status.code(), Some(0), "{name} --help must exit 0");
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(
-            stdout.contains("--shards"),
-            "{name} --help must document --shards"
+            !stdout.contains("--shards"),
+            "{name} --help must not document the removed --shards"
         );
-        // `throughput` documents its own flag surface; every shared-parser
-        // binary's help must enumerate --filter and its backends.
-        if name != "throughput" {
+        // Binaries with their own parsers document their own flag surface;
+        // every shared-parser binary's help must enumerate --filter and its
+        // backends.
+        if !OWN_PARSER.contains(&name) {
             assert!(
                 stdout.contains("--filter"),
                 "{name} --help must document --filter"
@@ -500,4 +446,82 @@ fn conflicting_execution_mode_flags_exit_2_and_name_both() {
             );
         }
     }
+}
+
+/// A per-process scratch path under the system temp directory.
+fn temp_path(name: &str) -> String {
+    format!(
+        "{}/cli_{}_{name}",
+        std::env::temp_dir().display(),
+        std::process::id()
+    )
+}
+
+/// Runs `throughput` at a tiny scale, writing its JSON document to `out`.
+fn run_throughput(out: &str, extra: &[&str]) -> std::process::Output {
+    Command::new(bin_path("throughput"))
+        .args(["4000", "--samples", "1", "--out", out])
+        .args(extra)
+        .output()
+        .expect("spawn throughput")
+}
+
+#[test]
+fn throughput_compare_rejects_a_missing_or_malformed_file_before_measuring() {
+    let garbage = temp_path("compare_garbage.json");
+    std::fs::write(&garbage, "accesses_per_sec: not json\n").expect("write temp file");
+    for bad in ["/nonexistent/old_bench.json", garbage.as_str()] {
+        let out = temp_path("compare_rejected_out.json");
+        std::fs::remove_file(&out).ok();
+        let output = run_throughput(&out, &["--compare", bad]);
+        assert_eq!(
+            output.status.code(),
+            Some(1),
+            "throughput must exit 1 on --compare {bad}"
+        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains("error:") && stderr.contains(bad),
+            "the error must name the --compare path, got:\n{stderr}"
+        );
+        assert!(
+            !std::path::Path::new(&out).exists(),
+            "a rejected --compare must fail before anything is measured or written"
+        );
+    }
+    std::fs::remove_file(&garbage).ok();
+}
+
+#[test]
+fn throughput_compare_reports_a_speedup_per_config() {
+    let old = temp_path("compare_old.json");
+    let new = temp_path("compare_new.json");
+    assert_eq!(run_throughput(&old, &[]).status.code(), Some(0));
+    let output = run_throughput(&new, &["--compare", &old]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+    let doc = pipo_bench::Json::parse(&std::fs::read_to_string(&new).expect("--out written"))
+        .expect("valid JSON");
+    let configs = doc
+        .get("configs")
+        .and_then(pipo_bench::Json::as_array)
+        .expect("configs array");
+    let speedup = doc
+        .get("comparison")
+        .and_then(|c| c.get("speedup"))
+        .expect("comparison.speedup");
+    assert_eq!(configs.len(), 6);
+    for config in configs {
+        let name = config
+            .get("name")
+            .and_then(pipo_bench::Json::as_str)
+            .expect("name");
+        let ratio = speedup.get(name).and_then(pipo_bench::Json::as_f64);
+        assert!(
+            ratio.is_some_and(|r| r > 0.0),
+            "comparison.speedup must name {name}"
+        );
+    }
+    std::fs::remove_file(&old).ok();
+    std::fs::remove_file(&new).ok();
 }

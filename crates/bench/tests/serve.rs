@@ -8,8 +8,11 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 
+use cache_sim::SystemConfig;
 use pipo_bench::serve::{ServeOptions, Server};
-use pipo_bench::{Json, ResultStore};
+use pipo_bench::{run_mix_monitored_on, Json, ResultStore};
+use pipo_workloads::all_mixes;
+use pipomonitor::MonitorConfig;
 
 fn temp_store(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pipo_serve_it_{}_{name}.log", std::process::id()))
@@ -162,6 +165,64 @@ fn second_submission_is_served_from_the_store_byte_identically() {
     // records back.
     let reopened = ResultStore::open(&path).expect("reopen store");
     assert_eq!(reopened.len(), 2);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn cold_job_larger_than_the_worker_count_streams_every_cell_once() {
+    // Five cold cells on the server's two workers: every worker takes
+    // several cells, and each must stream back exactly once with the
+    // result a direct simulation of the same spec produces.
+    let path = temp_store("oversubscribed");
+    let (addr, server) = start_server(&path, 1_000_000);
+    let seeds = 1..=5u64;
+    let specs: Vec<String> = seeds
+        .clone()
+        .map(|seed| format!(r#"{{"mix":"mix3","instructions":20000,"seed":{seed}}}"#))
+        .collect();
+    let job = format!(r#"{{"op":"job","cells":[{}]}}"#, specs.join(","));
+    let mut client = Client::connect(addr);
+    let (cells, done) = client.job(&job);
+    assert_eq!(u64_field(&done, "misses"), 5, "done line: {done:?}");
+
+    let mut streamed: Vec<u64> = cells.iter().map(|c| u64_field(c, "cell")).collect();
+    streamed.sort_unstable();
+    assert_eq!(
+        streamed,
+        vec![0, 1, 2, 3, 4],
+        "each cell streams exactly once"
+    );
+    let mix3 = all_mixes()
+        .into_iter()
+        .find(|m| m.name == "mix3")
+        .expect("mix3 exists");
+    for (index, seed) in seeds.enumerate() {
+        let expected = run_mix_monitored_on(
+            &mix3,
+            SystemConfig::paper_default(),
+            MonitorConfig::paper_default(),
+            20_000,
+            seed,
+        )
+        .to_json()
+        .to_line();
+        let cell = cells
+            .iter()
+            .find(|c| u64_field(c, "cell") == index as u64)
+            .expect("cell streamed");
+        assert_eq!(
+            cell.get("result").expect("result present").to_line(),
+            expected,
+            "cell {index} (seed {seed}) must match a direct simulation"
+        );
+    }
+
+    client.send(r#"{"op":"shutdown"}"#);
+    let _ = client.read_line();
+    server
+        .join()
+        .expect("server thread")
+        .expect("clean shutdown");
     std::fs::remove_file(&path).ok();
 }
 

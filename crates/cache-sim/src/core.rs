@@ -68,8 +68,8 @@ pub trait AccessSource {
     /// generators override it to amortize per-access overhead (RNG state
     /// loads, bounds setup) across the whole batch. An override must produce
     /// the *identical* access sequence as repeated `next_access` calls —
-    /// cores mix the two paths freely (e.g. after an epoch rollback), and
-    /// the golden suites pin the merged stream.
+    /// callers may mix the two paths freely, and the golden suites pin the
+    /// merged stream.
     fn refill(&mut self, buf: &mut Vec<Access>, max: usize) {
         for _ in 0..max {
             match self.next_access() {
@@ -99,12 +99,14 @@ const BATCH: usize = 64;
 pub struct Core {
     id: CoreId,
     source: Box<dyn AccessSource + Send>,
-    /// Accesses pushed back by a rolled-back speculative epoch; consumed
-    /// before the source so a re-execution replays the identical stream.
+    /// Accesses queued ahead of the pre-drawn batch; consumed first. Nothing
+    /// fills it, so it is always empty. It stays because removing it shrinks
+    /// a 4-core `Vec<Core>` by 128 bytes, which moved allocator placement
+    /// enough to raise the `occupancy_attack` benchmark's set-up time past
+    /// its bound (`BENCH_cache_sim.md`); its removal is an open follow-up.
     lookahead: VecDeque<Access>,
     /// Pre-drawn accesses from the source ([`AccessSource::refill`]); the
-    /// cursor `batch_pos` marks the next unconsumed entry. Consumed entries
-    /// never return here — rollback re-injects them via `lookahead`.
+    /// cursor `batch_pos` marks the next unconsumed entry.
     batch: Vec<Access>,
     batch_pos: usize,
     /// Local clock: when the core can issue its next instruction.
@@ -184,7 +186,7 @@ impl Core {
         true
     }
 
-    /// Takes the next access from the rollback lookahead, falling back to the
+    /// Takes the next access from the lookahead, falling back to the
     /// pre-drawn batch (refilled from the source when empty); marks the core
     /// exhausted when all three run dry.
     #[inline]
@@ -214,52 +216,13 @@ impl Core {
     }
 
     /// Address of the next access the core will issue, if already known
-    /// (rollback lookahead first, then the pre-drawn batch). Never advances
-    /// the source.
+    /// (lookahead first, then the pre-drawn batch). Never advances the
+    /// source.
     pub(crate) fn peek_addr(&self) -> Option<Addr> {
         if let Some(access) = self.lookahead.front() {
             return Some(access.addr);
         }
         self.batch.get(self.batch_pos).map(|a| a.addr)
-    }
-
-    /// Begins one speculative step: pulls the next access, records it on
-    /// `tape` (so [`rewind`](Self::rewind) can undo the consumption), and
-    /// retires its compute gap. The caller finishes the step with
-    /// [`finish_step`](Self::finish_step) once the access latency is known.
-    ///
-    /// Returns `None` (and marks the core exhausted) when the stream is dry.
-    pub(crate) fn begin_step(&mut self, tape: &mut Vec<Access>) -> Option<Access> {
-        let access = self.pull_access()?;
-        tape.push(access);
-        self.now += access.think_cycles;
-        self.retired += access.think_cycles;
-        Some(access)
-    }
-
-    /// Completes a speculative step begun with [`begin_step`](Self::begin_step).
-    pub(crate) fn finish_step(&mut self, latency: Cycle) {
-        self.now += latency;
-        self.retired += 1;
-    }
-
-    /// Snapshot of the rollback-relevant execution state
-    /// `(now, retired, exhausted)`.
-    pub(crate) fn exec_state(&self) -> (Cycle, u64, bool) {
-        (self.now, self.retired, self.exhausted)
-    }
-
-    /// Rolls the core back to a pre-epoch [`exec_state`](Self::exec_state),
-    /// unreading the accesses consumed since (they re-enter the stream ahead
-    /// of the source, in original order).
-    pub(crate) fn rewind(&mut self, state: (Cycle, u64, bool), tape: &[Access]) {
-        let (now, retired, exhausted) = state;
-        self.now = now;
-        self.retired = retired;
-        self.exhausted = exhausted;
-        for access in tape.iter().rev() {
-            self.lookahead.push_front(*access);
-        }
     }
 }
 

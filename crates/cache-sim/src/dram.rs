@@ -54,14 +54,6 @@ impl Dram {
         self.writes += 1;
     }
 
-    /// Absorbs demand traffic counted elsewhere (the epoch engine's verify
-    /// workers tally reads/writebacks into per-worker deltas and commit them
-    /// here in one step).
-    pub(crate) fn absorb_demand_traffic(&mut self, reads: u64, writes: u64) {
-        self.reads += reads;
-        self.writes += writes;
-    }
-
     /// Configured access latency.
     #[must_use]
     pub fn latency(&self) -> Cycle {

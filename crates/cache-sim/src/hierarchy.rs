@@ -38,15 +38,15 @@ use crate::types::{AccessKind, AccessResult, Addr, CoreId, Cycle, Level, LineAdd
 /// ```
 #[derive(Debug)]
 pub struct Hierarchy {
-    pub(crate) config: SystemConfig,
-    pub(crate) l1: Vec<Cache>,
-    pub(crate) l2: Vec<Cache>,
-    pub(crate) l3: Cache,
-    pub(crate) dram: Dram,
-    pub(crate) stats: HierarchyStats,
+    config: SystemConfig,
+    l1: Vec<Cache>,
+    l2: Vec<Cache>,
+    l3: Cache,
+    dram: Dram,
+    stats: HierarchyStats,
     /// `log2(line_size)`, hoisted so the per-access address-to-line shift
     /// does not recompute it.
-    pub(crate) line_shift: u32,
+    line_shift: u32,
     /// Reusable buffer for observer prefetch draining; drained lines are
     /// staged here so steady-state draining allocates nothing.
     prefetch_scratch: Vec<LineAddr>,
@@ -410,16 +410,6 @@ impl Hierarchy {
         }
     }
 
-    /// Clears the owned flag of every L1 copy. The epoch engine calls this
-    /// after committing a parallel epoch: its speculation and verify mirrors
-    /// add sharers without seeing private flags, and an owned copy is only
-    /// a shortcut, so dropping them all is always safe.
-    pub(crate) fn clear_owned(&mut self) {
-        for l1 in &mut self.l1 {
-            l1.clear_owned();
-        }
-    }
-
     /// A write by `core` must invalidate every other core's private copy
     /// (directory-based MESI upgrade). Returns the extra latency (one LLC
     /// round trip when an upgrade was needed, 0 otherwise).
@@ -611,7 +601,10 @@ mod tests {
             .set_owned(true);
         let violation = h.check_inclusion().expect("bogus owned flag");
         assert!(violation.contains("owns"), "{violation}");
-        h.clear_owned();
+        h.l1[0]
+            .peek_mut(x.line(64))
+            .expect("resident")
+            .set_owned(false);
         assert_eq!(h.check_inclusion(), None);
     }
 

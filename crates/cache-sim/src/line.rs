@@ -54,12 +54,6 @@ impl SharerSet {
         self.0 == 1 << core.0
     }
 
-    /// The raw 64-bit membership mask (crate-internal: the epoch engine
-    /// checks shard containment with one mask operation).
-    pub(crate) fn bits(self) -> u64 {
-        self.0
-    }
-
     /// Iterates the sharer core ids in ascending order.
     ///
     /// The iterator owns a copy of the bitmask and walks it with

@@ -110,26 +110,6 @@ proptest! {
         }
     }
 
-    /// A cloned cache probes identically to the original under both
-    /// lookups — the manual `Clone` must copy every kernel array
-    /// (fingerprints, tags, stamps) coherently.
-    #[test]
-    fn clone_preserves_probe_results(
-        config in arb_config(),
-        lines in prop::collection::vec(0u64..4096, 1..120),
-    ) {
-        let (geometry, replacement) = config;
-        let mut cache = Cache::new(geometry, replacement);
-        for &line in &lines {
-            cache.fill(LineAddr(line), LineMeta::default());
-        }
-        let cloned = cache.clone();
-        for &line in &lines {
-            let l = LineAddr(line);
-            prop_assert_eq!(cloned.probe_way(l), cache.probe_way(l));
-            prop_assert_eq!(cloned.probe_way_scalar(l), cache.probe_way_scalar(l));
-        }
-    }
 }
 
 /// Directed aliasing case: lines that differ only above the set-index bits

@@ -32,9 +32,8 @@ impl MonitorStats {
     /// Every counter is a plain sum, so combining deltas from independent
     /// monitor instances (e.g. harness aggregation across runs) is
     /// associative and commutative: any merge order produces identical
-    /// totals. The epoch-parallel engine relies on the snapshot/restore of
-    /// the whole observer instead of merging, but the property tests in
-    /// `tests/observer_merge.rs` pin this contract for aggregating callers.
+    /// totals. The property test in `tests/observer_merge.rs` pins this
+    /// contract for aggregating callers.
     pub fn absorb(&mut self, other: &MonitorStats) {
         self.fetches_observed += other.fetches_observed;
         self.captures += other.captures;
@@ -76,30 +75,6 @@ pub struct PiPoMonitor {
     store: Box<dyn PatternStore>,
     queue: PrefetchQueue,
     stats: MonitorStats,
-}
-
-impl Clone for PiPoMonitor {
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            store: self.store.clone_box(),
-            queue: self.queue.clone(),
-            stats: self.stats,
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing the pattern-store and
-    /// prefetch-queue allocations, so the epoch-parallel engine's
-    /// once-per-epoch observer snapshot is a plain copy instead of an
-    /// allocation (mirrors `Cache::clone_from` on the LLC snapshots).
-    /// Delegates to [`PatternStore::clone_from_store`], which requires both
-    /// monitors to use the same backend.
-    fn clone_from(&mut self, source: &Self) {
-        self.config = source.config;
-        self.store.clone_from_store(source.store.as_ref());
-        self.queue.clone_from(&source.queue);
-        self.stats = source.stats;
-    }
 }
 
 impl PiPoMonitor {
@@ -288,25 +263,6 @@ mod tests {
             assert!(m.on_memory_fetch(line, 3), "{backend}: missed capture");
             assert_eq!(m.pattern_store().backend(), backend);
             assert!(m.pattern_store().contains(42));
-        }
-    }
-
-    #[test]
-    fn clone_from_preserves_backend_state() {
-        for backend in auto_cuckoo::FilterBackend::ALL {
-            let cfg = MonitorConfig::paper_default().with_backend(backend);
-            let mut a = PiPoMonitor::new(cfg).expect("valid config");
-            for i in 0..100u64 {
-                a.on_memory_fetch(LineAddr(i * 3), i);
-            }
-            let mut b = PiPoMonitor::new(cfg).expect("valid config");
-            b.clone_from(&a);
-            assert_eq!(b.stats(), a.stats(), "{backend}: stats diverged");
-            assert_eq!(
-                b.pattern_store().len(),
-                a.pattern_store().len(),
-                "{backend}: store length diverged"
-            );
         }
     }
 

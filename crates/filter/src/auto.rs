@@ -43,32 +43,6 @@ pub struct AutoCuckooFilter {
     occupied: usize,
 }
 
-impl Clone for AutoCuckooFilter {
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params,
-            table: self.table.clone(),
-            rng: self.rng.clone(),
-            stats: self.stats.clone(),
-            occupied: self.occupied,
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing the table allocation.
-    ///
-    /// The epoch-parallel engine snapshots the whole monitor once per
-    /// committing epoch; forwarding to `Vec::clone_from` keeps that
-    /// snapshot allocation-free in steady state (the derived impl would
-    /// reallocate the table every time).
-    fn clone_from(&mut self, source: &Self) {
-        self.params = source.params;
-        self.table.clone_from(&source.table);
-        self.rng = source.rng.clone();
-        self.stats = source.stats.clone();
-        self.occupied = source.occupied;
-    }
-}
-
 impl AutoCuckooFilter {
     /// Creates an empty filter.
     ///

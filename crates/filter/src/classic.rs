@@ -78,31 +78,6 @@ pub struct ClassicCuckooFilter {
     stats: FilterStats,
 }
 
-impl Clone for ClassicCuckooFilter {
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params,
-            table: self.table.clone(),
-            rng: self.rng.clone(),
-            occupied: self.occupied,
-            failed_inserts: self.failed_inserts,
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing the table allocation
-    /// (same contract as `AutoCuckooFilter::clone_from`; keeps epoch-engine
-    /// monitor snapshots allocation-free when this backend is selected).
-    fn clone_from(&mut self, source: &Self) {
-        self.params = source.params;
-        self.table.clone_from(&source.table);
-        self.rng = source.rng.clone();
-        self.occupied = source.occupied;
-        self.failed_inserts = source.failed_inserts;
-        self.stats = source.stats.clone();
-    }
-}
-
 impl ClassicCuckooFilter {
     /// Creates an empty filter.
     ///

@@ -18,10 +18,6 @@
 //! * [`stats_snapshot`](PatternStore::stats_snapshot) /
 //!   [`memory_bytes`](PatternStore::memory_bytes) — uniform observability so
 //!   harnesses can compare backends on false alarms vs. memory vs. speed.
-//! * [`clone_box`](PatternStore::clone_box) /
-//!   [`clone_from_store`](PatternStore::clone_from_store) — snapshot support
-//!   for the epoch-parallel engine, which copies the whole monitor once per
-//!   committing epoch and must stay allocation-free in steady state.
 //!
 //! Four backends implement the trait: the paper's [`AutoCuckooFilter`], the
 //! vulnerable [`ClassicCuckooFilter`] baseline, a blocked spectral Bloom
@@ -30,7 +26,6 @@
 //! [`build_store`] constructs any of them from a [`FilterBackend`] tag plus
 //! the shared [`FilterParams`] geometry.
 
-use std::any::Any;
 use std::fmt;
 use std::str::FromStr;
 
@@ -199,26 +194,6 @@ pub trait PatternStore: fmt::Debug + Send {
 
     /// The shared geometry/policy parameters the store was built from.
     fn params(&self) -> &FilterParams;
-
-    /// Allocating clone behind the trait object (`Clone` is not
-    /// object-safe).
-    fn clone_box(&self) -> Box<dyn PatternStore>;
-
-    /// Overwrites `self` with `source` while reusing `self`'s allocations —
-    /// the epoch-parallel engine snapshots the monitor once per committing
-    /// epoch and must not allocate in steady state.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `source` is a different backend; callers that can face a
-    /// backend change (none inside an epoch run) must compare
-    /// [`backend`](Self::backend) first and fall back to
-    /// [`clone_box`](Self::clone_box).
-    fn clone_from_store(&mut self, source: &dyn PatternStore);
-
-    /// Upcast for backend-specific downcasting (`clone_from_store`'s
-    /// same-backend copy).
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// Builds a boxed store of the requested backend from the shared parameters.
@@ -251,20 +226,6 @@ pub fn build_store(
         FilterBackend::Classic => Box::new(ClassicCuckooFilter::new(params)?),
         FilterBackend::Bloom => Box::new(crate::bloom::BloomPatternStore::new(params)?),
         FilterBackend::Xor => Box::new(crate::xor::XorPatternStore::new(params)?),
-    })
-}
-
-/// Downcasts `source` to the implementing type or panics with a
-/// backend-mismatch message (shared by every `clone_from_store` impl).
-pub(crate) fn downcast_same_backend<T: PatternStore + 'static>(
-    target_backend: FilterBackend,
-    source: &dyn PatternStore,
-) -> &T {
-    source.as_any().downcast_ref::<T>().unwrap_or_else(|| {
-        panic!(
-            "clone_from_store backend mismatch: target is {target_backend}, source is {}",
-            source.backend()
-        )
     })
 }
 
@@ -312,18 +273,6 @@ impl PatternStore for AutoCuckooFilter {
     fn params(&self) -> &FilterParams {
         AutoCuckooFilter::params(self)
     }
-
-    fn clone_box(&self) -> Box<dyn PatternStore> {
-        Box::new(self.clone())
-    }
-
-    fn clone_from_store(&mut self, source: &dyn PatternStore) {
-        self.clone_from(downcast_same_backend::<Self>(FilterBackend::Auto, source));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl PatternStore for ClassicCuckooFilter {
@@ -369,21 +318,6 @@ impl PatternStore for ClassicCuckooFilter {
 
     fn params(&self) -> &FilterParams {
         ClassicCuckooFilter::params(self)
-    }
-
-    fn clone_box(&self) -> Box<dyn PatternStore> {
-        Box::new(self.clone())
-    }
-
-    fn clone_from_store(&mut self, source: &dyn PatternStore) {
-        self.clone_from(downcast_same_backend::<Self>(
-            FilterBackend::Classic,
-            source,
-        ));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -431,18 +365,6 @@ impl PatternStore for crate::bloom::BloomPatternStore {
     fn params(&self) -> &FilterParams {
         crate::bloom::BloomPatternStore::params(self)
     }
-
-    fn clone_box(&self) -> Box<dyn PatternStore> {
-        Box::new(self.clone())
-    }
-
-    fn clone_from_store(&mut self, source: &dyn PatternStore) {
-        self.clone_from(downcast_same_backend::<Self>(FilterBackend::Bloom, source));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 impl PatternStore for crate::xor::XorPatternStore {
@@ -488,18 +410,6 @@ impl PatternStore for crate::xor::XorPatternStore {
 
     fn params(&self) -> &FilterParams {
         crate::xor::XorPatternStore::params(self)
-    }
-
-    fn clone_box(&self) -> Box<dyn PatternStore> {
-        Box::new(self.clone())
-    }
-
-    fn clone_from_store(&mut self, source: &dyn PatternStore) {
-        self.clone_from(downcast_same_backend::<Self>(FilterBackend::Xor, source));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -564,40 +474,5 @@ mod tests {
                 "backend {backend} capture latency"
             );
         }
-    }
-
-    #[test]
-    fn clone_box_and_clone_from_store_preserve_state() {
-        for backend in FilterBackend::ALL {
-            let mut store =
-                build_store(backend, FilterParams::paper_default()).expect("valid params");
-            for i in 0..200u64 {
-                store.query(i * 64);
-            }
-            store.query(42 * 64);
-            let boxed = store.clone_box();
-            assert_eq!(boxed.len(), store.len());
-            assert_eq!(boxed.security_of(42 * 64), store.security_of(42 * 64));
-            assert_eq!(boxed.stats_snapshot(), store.stats_snapshot());
-
-            let mut fresh =
-                build_store(backend, FilterParams::paper_default()).expect("valid params");
-            fresh.clone_from_store(&*store);
-            assert_eq!(fresh.len(), store.len());
-            assert_eq!(fresh.stats_snapshot(), store.stats_snapshot());
-            // And the copy diverges independently afterwards.
-            let a = fresh.query(0x9999_0000);
-            let b = store.query(0x9999_0000);
-            assert_eq!(a, b, "same state must produce the same outcome");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "backend mismatch")]
-    fn clone_from_store_panics_across_backends() {
-        let auto = build_store(FilterBackend::Auto, FilterParams::paper_default()).expect("valid");
-        let mut bloom =
-            build_store(FilterBackend::Bloom, FilterParams::paper_default()).expect("valid");
-        bloom.clone_from_store(&*auto);
     }
 }

@@ -133,54 +133,6 @@ impl fmt::Debug for XorPatternStore {
     }
 }
 
-impl Clone for XorPatternStore {
-    fn clone(&self) -> Self {
-        Self {
-            params: self.params,
-            keys: self.keys.clone(),
-            secs: self.secs.clone(),
-            mask: self.mask,
-            live_len: self.live_len,
-            rebuild_at: self.rebuild_at,
-            fps: self.fps.clone(),
-            frozen_c: self.frozen_c,
-            frozen_segment: self.frozen_segment,
-            frozen_seed: self.frozen_seed,
-            frozen_len: self.frozen_len,
-            rebuilds: self.rebuilds,
-            build_mask: self.build_mask.clone(),
-            build_count: self.build_count.clone(),
-            build_queue: self.build_queue.clone(),
-            stack_key: self.stack_key.clone(),
-            stack_slot: self.stack_slot.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-
-    /// Overwrites `self` with `source` while reusing every allocation
-    /// (epoch-engine snapshot contract).
-    fn clone_from(&mut self, source: &Self) {
-        self.params = source.params;
-        self.keys.clone_from(&source.keys);
-        self.secs.clone_from(&source.secs);
-        self.mask = source.mask;
-        self.live_len = source.live_len;
-        self.rebuild_at = source.rebuild_at;
-        self.fps.clone_from(&source.fps);
-        self.frozen_c = source.frozen_c;
-        self.frozen_segment = source.frozen_segment;
-        self.frozen_seed = source.frozen_seed;
-        self.frozen_len = source.frozen_len;
-        self.rebuilds = source.rebuilds;
-        self.build_mask.clone_from(&source.build_mask);
-        self.build_count.clone_from(&source.build_count);
-        self.build_queue.clone_from(&source.build_queue);
-        self.stack_key.clone_from(&source.stack_key);
-        self.stack_slot.clone_from(&source.stack_slot);
-        self.stats = source.stats.clone();
-    }
-}
-
 impl XorPatternStore {
     /// Creates an empty store sized for `params.capacity()` live lines.
     ///
@@ -563,20 +515,6 @@ mod tests {
         assert_eq!(s.rebuilds(), 0);
         assert_eq!(s.stats().queries, 0);
         assert!(!s.contains(mix64(3)));
-    }
-
-    #[test]
-    fn clone_from_reuses_and_matches() {
-        let mut a = store();
-        for i in 0..20_000u64 {
-            a.query(mix64(i));
-        }
-        let mut b = store();
-        b.clone_from(&a);
-        assert_eq!(b.len(), a.len());
-        assert_eq!(b.frozen_len(), a.frozen_len());
-        assert_eq!(b.stats(), a.stats());
-        assert_eq!(b.security_of(mix64(5)), a.security_of(mix64(5)));
     }
 
     #[test]

@@ -226,33 +226,4 @@ proptest! {
         }
     }
 
-    /// `clone_box` and `clone_from_store` produce observably identical
-    /// stores: the same follow-up stream yields the same outcomes.
-    #[test]
-    fn clones_are_observably_identical(
-        params in roomy_params(),
-        warm in prop::collection::vec(any::<u64>(), 1..150),
-        probe in prop::collection::vec(any::<u64>(), 1..30),
-    ) {
-        for backend in FilterBackend::ALL {
-            let mut original = build_store(backend, params).expect("valid params");
-            for &item in &warm {
-                original.query(item);
-            }
-            let mut boxed = original.clone_box();
-            let mut copied = build_store(backend, params).expect("valid params");
-            copied.clone_from_store(original.as_ref());
-            prop_assert_eq!(boxed.len(), original.len(), "{backend} clone_box len");
-            prop_assert_eq!(copied.len(), original.len(), "{backend} clone_from len");
-            for &item in &probe {
-                let a = original.query(item);
-                let b = boxed.query(item);
-                let c = copied.query(item);
-                prop_assert_eq!(a.security, b.security, "{backend} clone_box diverged");
-                prop_assert_eq!(a.captured, b.captured, "{backend} clone_box diverged");
-                prop_assert_eq!(a.security, c.security, "{backend} clone_from diverged");
-                prop_assert_eq!(a.captured, c.captured, "{backend} clone_from diverged");
-            }
-        }
-    }
 }

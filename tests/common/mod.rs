@@ -1,10 +1,9 @@
-//! Shared helpers for the sharded bit-identity suites.
+//! Shared helpers for the run-comparison suites.
 //!
-//! Both `tests/sharded_regression.rs` (pinned workloads) and
-//! `tests/sharded_differential.rs` (randomized workloads) compare a
-//! sequential and a sharded run through this one fingerprint, so a counter
-//! added to `SimReport`/`HierarchyStats` widens *both* suites' equality
-//! check at once — keeping one copy from silently narrowing.
+//! `tests/workload_statistics.rs` compares runs (reruns, live vs replayed
+//! streams) through this one fingerprint, so a counter added to
+//! `SimReport`/`HierarchyStats` widens every comparison at once instead of
+//! leaving a hand-kept field list to silently narrow.
 
 use cache_sim::SimReport;
 

@@ -1,11 +1,8 @@
-//! Property tests of the shard-merge step: combining shard-local observer
-//! and hierarchy statistics in *any* shard order must yield identical
-//! totals. The epoch-parallel engine absorbs per-shard
-//! [`HierarchyStats`] deltas at every commit barrier, and harness code sums
-//! [`MonitorStats`] across runs — both must be order-insensitive for
-//! sharded execution to stay deterministic.
+//! Property test of the monitor-statistics merge: harness code sums
+//! [`MonitorStats`] across independent runs with [`MonitorStats::absorb`],
+//! and combining them in *any* order must yield identical totals.
 
-use cache_sim::{CoreId, HierarchyStats, Level, LineAddr, TrafficObserver};
+use cache_sim::{LineAddr, TrafficObserver};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 use proptest::prelude::*;
 
@@ -21,74 +18,22 @@ fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
     order
 }
 
-/// One synthetic shard-local delta: a few recorded accesses plus raw global
-/// counters derived from a seed.
-fn shard_delta(cores: usize, seed: u64) -> HierarchyStats {
-    let mut stats = HierarchyStats::new(cores);
-    let mut x = seed | 1;
-    let mut next = || {
-        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        x >> 33
-    };
-    for _ in 0..(next() % 40) {
-        let core = CoreId((next() as usize) % cores);
-        let level = match next() % 4 {
-            0 => Level::L1,
-            1 => Level::L2,
-            2 => Level::L3,
-            _ => Level::Memory,
-        };
-        stats.record_served(core, level, next() % 300);
-    }
-    stats.llc_evictions = next() % 100;
-    stats.back_invalidations = next() % 100;
-    stats.coherence_invalidations = next() % 100;
-    stats.writebacks = next() % 100;
-    stats.prefetch_fills = next() % 100;
-    stats.prefetch_hits = next() % 100;
-    stats
-}
-
 proptest! {
-    /// Absorbing shard-local hierarchy statistics in any order yields the
-    /// same totals as in shard order.
-    #[test]
-    fn hierarchy_stats_merge_is_order_insensitive(
-        cores in 1usize..16,
-        shards in 1usize..9,
-        seed in any::<u64>(),
-        shuffle_seed in any::<u64>(),
-    ) {
-        let deltas: Vec<HierarchyStats> = (0..shards)
-            .map(|s| shard_delta(cores, seed ^ (s as u64) << 17))
-            .collect();
-        let mut in_order = HierarchyStats::new(cores);
-        for delta in &deltas {
-            in_order.absorb(delta);
-        }
-        let mut shuffled = HierarchyStats::new(cores);
-        for &i in &permutation(shards, shuffle_seed) {
-            shuffled.absorb(&deltas[i]);
-        }
-        prop_assert_eq!(in_order, shuffled);
-    }
-
     /// Absorbing monitor statistics deltas in any order yields identical
     /// monitor/prefetch totals. The deltas come from real [`PiPoMonitor`]
-    /// instances fed disjoint slices of one event stream — the shard-local
-    /// view of the epoch engine.
+    /// instances fed disjoint slices of one event stream.
     #[test]
     fn monitor_stats_merge_is_order_insensitive(
         lines in prop::collection::vec((0u64..64, any::<bool>(), any::<bool>()), 1..120),
-        shards in 1usize..7,
+        parts in 1usize..7,
         shuffle_seed in any::<u64>(),
     ) {
-        // Partition the event stream round-robin into shard-local monitors.
-        let mut monitors: Vec<PiPoMonitor> = (0..shards)
+        // Partition the event stream round-robin across the monitors.
+        let mut monitors: Vec<PiPoMonitor> = (0..parts)
             .map(|_| PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config"))
             .collect();
         for (i, &(line, protected, accessed)) in lines.iter().enumerate() {
-            let m = &mut monitors[i % shards];
+            let m = &mut monitors[i % parts];
             let now = i as u64 * 10;
             m.on_memory_fetch(LineAddr(line), now);
             m.on_llc_eviction(LineAddr(line), protected, accessed, now);
@@ -99,7 +44,7 @@ proptest! {
             in_order.absorb(delta);
         }
         let mut shuffled = MonitorStats::default();
-        for &i in &permutation(shards, shuffle_seed) {
+        for &i in &permutation(parts, shuffle_seed) {
             shuffled.absorb(&deltas[i]);
         }
         prop_assert_eq!(in_order, shuffled);
@@ -109,34 +54,4 @@ proptest! {
         prop_assert_eq!(in_order.pevicts, pevicts);
     }
 
-    /// Splitting one recorded-event stream across shard-local stats and
-    /// merging recovers exactly the unsharded accounting, for every split.
-    #[test]
-    fn sharded_accounting_equals_unsharded(
-        events in prop::collection::vec((0usize..8, 0u64..4, 1u64..200), 1..150),
-        shards in 1usize..9,
-    ) {
-        let cores = 8;
-        let level = |l: u64| match l {
-            0 => Level::L1,
-            1 => Level::L2,
-            2 => Level::L3,
-            _ => Level::Memory,
-        };
-        let mut whole = HierarchyStats::new(cores);
-        for &(core, l, latency) in &events {
-            whole.record_served(CoreId(core), level(l), latency);
-        }
-        // Shard by core ownership, as the epoch engine does.
-        let mut shard_stats: Vec<HierarchyStats> =
-            (0..shards).map(|_| HierarchyStats::new(cores)).collect();
-        for &(core, l, latency) in &events {
-            shard_stats[core % shards].record_served(CoreId(core), level(l), latency);
-        }
-        let mut merged = HierarchyStats::new(cores);
-        for delta in &shard_stats {
-            merged.absorb(delta);
-        }
-        prop_assert_eq!(whole, merged);
-    }
 }
