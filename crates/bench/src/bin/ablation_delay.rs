@@ -14,7 +14,7 @@
 
 use cache_sim::{Hierarchy, SystemConfig};
 use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, Flag, HarnessArgs, Json};
 use pipomonitor::{MonitorConfig, PiPoMonitor};
 
 const DELAYS: [u64; 9] = [0, 10, 50, 200, 1000, 3000, 4900, 6000, 20_000];
@@ -27,9 +27,7 @@ struct DelayResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Flag::Scale, Flag::Filter]);
     let windows = args.scale_or(150) as usize;
     let backend = args.filter_backend();
     let config = AttackConfig {

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use auto_cuckoo::{build_store, DetRng, FilterBackend, FilterParams};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, Flag, HarnessArgs, Json};
 
 /// Distinct benign line addresses (the tracked population) by default.
 const DEFAULT_TRACKED: u64 = 2_000_000;
@@ -173,10 +173,7 @@ fn run_backend(backend: FilterBackend, params: FilterParams, stream: &[u64]) -> 
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Flag::Scale]);
     let tracked_lines = args.scale_or(DEFAULT_TRACKED).max(1024);
     let params = production_params(tracked_lines);
     let accesses = tracked_lines * ACCESSES_PER_LINE;

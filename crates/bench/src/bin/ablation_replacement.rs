@@ -17,7 +17,7 @@ use auto_cuckoo::FilterBackend;
 use cache_sim::{Hierarchy, NullObserver, Replacement, SystemConfig};
 use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
 use pipo_bench::{
-    emit_json, finish_store, run_cells, sweep_document, HarnessArgs, Json, MixCell, Sweep,
+    emit_json, finish_store, run_cells, sweep_document, Flag, HarnessArgs, Json, MixCell, Sweep,
 };
 use pipo_workloads::all_mixes;
 use pipomonitor::{MonitorConfig, PiPoMonitor};
@@ -54,8 +54,7 @@ fn attack_under(replacement: Replacement, backend: FilterBackend) -> (f64, f64) 
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
+    let args = HarnessArgs::parse(&[Flag::Scale, Flag::Filter, Flag::Store]);
     let backend = args.filter_backend();
     let policies = [
         ("lru", Replacement::Lru),

@@ -13,7 +13,7 @@
 //!       [insertions] [--json PATH] [--sequential | --threads N]`
 
 use auto_cuckoo::{false_positive_rate, AutoCuckooFilter, FilterParams};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, Flag, HarnessArgs, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,10 +29,7 @@ struct CollisionResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Flag::Scale]);
     let insertions = args.scale_or(6_000_000);
 
     println!(

@@ -14,7 +14,7 @@
 
 use cache_sim::{Hierarchy, NullObserver, SystemConfig};
 use pipo_attacks::{AttackConfig, PrimeProbeAttack, SquareAndMultiply, VictimLayout};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, Flag, HarnessArgs, Json};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 
 const SEED: u64 = 2021;
@@ -27,9 +27,7 @@ struct PanelResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Flag::Scale, Flag::Filter]);
     let windows = args.scale_or(100) as usize;
     let backend = args.filter_backend();
     let config = AttackConfig {

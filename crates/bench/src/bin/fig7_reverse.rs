@@ -24,7 +24,7 @@
 
 use auto_cuckoo::{brute_force_expected_fills, reverse_eviction_set_size, FilterParams};
 use pipo_attacks::{brute_force_eviction, reverse_engineering_attack};
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, Flag, HarnessArgs, Json};
 
 enum Cell {
     BruteForce { trials: usize },
@@ -76,10 +76,7 @@ fn run_cell(cell: &Cell) -> CellResult {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Flag::Scale]);
     let trials = args.scale_or(30) as usize;
     // Per-trial brute-force cost is geometric with mean b*l, so the sample
     // mean needs a few dozen trials to stabilise.

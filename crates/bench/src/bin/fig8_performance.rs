@@ -22,8 +22,8 @@
 //! every cell warm and produces a byte-identical `--json` document.
 
 use pipo_bench::{
-    emit_json, fig8_filter_sizes, filter_with_size, finish_store, sweep_document, HarnessArgs,
-    Json, MixCell, MixRun, Sweep,
+    emit_json, fig8_filter_sizes, filter_with_size, finish_store, sweep_document, Flag,
+    HarnessArgs, Json, MixCell, MixRun, Sweep,
 };
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
@@ -31,8 +31,7 @@ use pipomonitor::MonitorConfig;
 const SEED: u64 = 42;
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
+    let args = HarnessArgs::parse(&[Flag::Scale, Flag::Filter, Flag::Store]);
     let instructions = args.instructions();
     let backend = args.filter_backend();
     let sizes = fig8_filter_sizes();

@@ -19,11 +19,7 @@ use pipo_bench::{
 use pipomonitor::OverheadReport;
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_filter();
-    args.expect_no_scale();
-    args.expect_no_trace();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[]);
     let llc_bytes: u64 = 4 << 20;
     println!("§VII-D — PiPoMonitor hardware overhead against a 4 MB LLC");
     println!(

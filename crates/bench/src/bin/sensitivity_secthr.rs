@@ -12,7 +12,9 @@
 //!       [--store PATH]`
 
 use auto_cuckoo::FilterParams;
-use pipo_bench::{emit_json, finish_store, sweep_document, HarnessArgs, Json, MixCell, Sweep};
+use pipo_bench::{
+    emit_json, finish_store, sweep_document, Flag, HarnessArgs, Json, MixCell, Sweep,
+};
 use pipo_workloads::all_mixes;
 use pipomonitor::MonitorConfig;
 
@@ -20,8 +22,7 @@ const SEED: u64 = 42;
 const THRESHOLDS: [u8; 3] = [1, 2, 3];
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_trace();
+    let args = HarnessArgs::parse(&[Flag::Scale, Flag::Filter, Flag::Store]);
     let instructions = args.instructions();
     let backend = args.filter_backend();
     let mixes = all_mixes();

@@ -25,7 +25,9 @@
 //! ```
 //!
 //! `--json PATH` is accepted as an alias of `--out PATH`, matching the flag
-//! every figure harness shares.
+//! every figure harness shares. As in the shared parser, an unknown flag, a
+//! second positional argument or an output path in a missing directory is
+//! an `error:` line and exit status 2, before anything is measured.
 //!
 //! Each configuration is simulated `N` times (default 3, fresh system each
 //! time) and the median elapsed time is reported, which tames scheduler and
@@ -37,10 +39,8 @@
 
 use std::time::Instant;
 
-use cache_sim::{
-    Access, AccessSource, Addr, CoreId, NullObserver, SimReport, System, SystemConfig,
-    TrafficObserver,
-};
+use cache_sim::{CoreId, NullObserver, SimReport, System, SystemConfig, TrafficObserver};
+use pipo_bench::args::check_output_path;
 use pipo_bench::Json;
 use pipo_workloads::{mixes::mix_by_name, ProfileSource};
 use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoMonitor};
@@ -48,24 +48,6 @@ use pipomonitor::{DirectoryMonitor, DirectoryMonitorConfig, MonitorConfig, PiPoM
 const DEFAULT_INSTRUCTIONS: u64 = 2_000_000;
 const MIX: &str = "mix7";
 const SEED: u64 = 42;
-
-/// Monitored 4-core mix7 throughput *before* the branchless fingerprint
-/// probe kernel and batched access generation landed: this harness's
-/// `pipomonitor` configuration built from the pre-kernel HEAD, 20M
-/// instructions, 5 samples per run, median of three runs interleaved
-/// back-to-back with the post-kernel binary on the same host (the host
-/// shows ±15% drift between non-adjacent runs, so only interleaved
-/// before/after pairs are comparable). The `probe_kernel` section of the
-/// emitted JSON reports this pair as the recorded speedup and the current
-/// run's rate alongside it.
-const PRE_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC: f64 = 15_093_837.6;
-
-/// The *after* half of the same interleaved measurement: the post-kernel
-/// build's `pipomonitor` rate, identical protocol, same session as the
-/// before runs. `after / before` = 1.51 is the recorded kernel speedup;
-/// comparing a fresh run against the recorded before is only indicative
-/// (cross-session host drift exceeds the effect of a small regression).
-const POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC: f64 = 22_748_314.8;
 
 const USAGE: &str = "\
 usage: throughput [total_instructions] [--label NAME] [--out PATH] [--compare PATH]
@@ -144,65 +126,6 @@ fn pipo() -> PiPoMonitor {
     PiPoMonitor::new(MonitorConfig::paper_default()).expect("valid config")
 }
 
-/// Prices access *generation* standalone: drains the four mix7
-/// `ProfileSource`s (same benchmarks, cores, and seed as the simulated
-/// configurations) through the batched `AccessSource::refill` path with no
-/// simulator attached, until `accesses` accesses have been drawn. Returns
-/// the median ns per generated access.
-fn generation_ns_per_access(accesses: u64, samples: usize) -> f64 {
-    let mix = mix_by_name(MIX).expect("mix exists");
-    let mut per_access_ns = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut sources: Vec<ProfileSource> = (0..4)
-            .map(|core| ProfileSource::new(mix.benchmarks[core % mix.benchmarks.len()], core, SEED))
-            .collect();
-        let mut buf: Vec<Access> = Vec::with_capacity(64);
-        let mut drawn = 0u64;
-        let mut sink = 0u64;
-        let start = Instant::now();
-        'outer: loop {
-            for source in &mut sources {
-                buf.clear();
-                source.refill(&mut buf, 64);
-                for access in &buf {
-                    sink ^= access.addr.0;
-                }
-                drawn += buf.len() as u64;
-                if drawn >= accesses {
-                    break 'outer;
-                }
-            }
-        }
-        std::hint::black_box(sink);
-        per_access_ns.push(start.elapsed().as_secs_f64() / drawn as f64 * 1e9);
-    }
-    per_access_ns.sort_by(f64::total_cmp);
-    per_access_ns[per_access_ns.len() / 2]
-}
-
-/// Prices the event-heap *scheduler* (plus the L1-hit fast path): the
-/// 4-core machine run with constant per-core addresses, so every access
-/// hits L1 and the LLC probe kernel never runs, while generation is a
-/// closure returning a constant. Returns the median ns per access.
-fn scheduler_ns_per_access(total_instructions: u64, samples: usize) -> f64 {
-    let mut per_access_ns = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let mut system = System::new(SystemConfig::paper_default(), NullObserver);
-        for core in 0..4usize {
-            system.set_source(
-                CoreId(core),
-                Box::new(move || Some(Access::read(Addr(core as u64 * 64)).after(3))),
-            );
-        }
-        let start = Instant::now();
-        let report = system.run(total_instructions / 4);
-        let elapsed = start.elapsed().as_secs_f64();
-        per_access_ns.push(elapsed / total_accesses(&report) as f64 * 1e9);
-    }
-    per_access_ns.sort_by(f64::total_cmp);
-    per_access_ns[per_access_ns.len() / 2]
-}
-
 /// Reads a previously emitted JSON file and returns each config's
 /// `(name, accesses_per_sec)`. Configs lacking either field are skipped.
 ///
@@ -243,7 +166,7 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let mut instructions = DEFAULT_INSTRUCTIONS;
+    let mut instructions: Option<u64> = None;
     let mut label = String::from("current");
     let mut out_path = String::from("BENCH_cache_sim.json");
     let mut compare_path: Option<String> = None;
@@ -283,13 +206,20 @@ fn main() {
             }
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
             other => {
-                instructions = other.parse().unwrap_or_else(|_| {
+                if instructions.is_some() {
+                    usage_error(&format!("unexpected extra argument {other:?}"));
+                }
+                instructions = Some(other.parse().unwrap_or_else(|_| {
                     usage_error(&format!(
                         "unparsable instruction count {other:?} (expected an unsigned integer)"
                     ))
-                });
+                }));
             }
         }
+    }
+    let instructions = instructions.unwrap_or(DEFAULT_INSTRUCTIONS);
+    if let Err(message) = check_output_path("--out", &out_path) {
+        usage_error(&message);
     }
 
     // Read the comparison file before measuring anything, so a bad path
@@ -341,82 +271,6 @@ fn main() {
         .field("seed", SEED)
         .field("total_instructions", instructions)
         .field("configs", configs);
-
-    // ns/access budget: where the monitored wall-clock goes, split into
-    // generation / scheduler / probe / observer. Two phases are priced
-    // directly (generation standalone, scheduler via an L1-hit-only run);
-    // the other two fall out by subtraction from the measured baseline and
-    // monitored rates. The split is approximate — each subtraction inherits
-    // the noise of both operands — but it localizes regressions: a probe
-    // regression moves `probe` without moving `generation` or `scheduler`.
-    let rate = |name: &str| {
-        runs.iter()
-            .find(|m| m.name == name)
-            .expect("config measured")
-            .accesses_per_sec()
-    };
-    let gen_ns = generation_ns_per_access(runs[0].accesses, samples);
-    let sched_ns = scheduler_ns_per_access(instructions, samples);
-    let baseline_ns = 1e9 / rate("baseline");
-    let monitored_ns = 1e9 / rate("pipomonitor");
-    let probe_ns = (baseline_ns - gen_ns - sched_ns).max(0.0);
-    let observer_ns = (monitored_ns - baseline_ns).max(0.0);
-    doc = doc.field(
-        "ns_per_access_budget",
-        Json::object()
-            .field("monitored_ns_per_access", round(monitored_ns, 1))
-            .field("baseline_ns_per_access", round(baseline_ns, 1))
-            .field(
-                "phases",
-                Json::object()
-                    .field("generation", round(gen_ns, 1))
-                    .field("scheduler", round(sched_ns, 1))
-                    .field("probe", round(probe_ns, 1))
-                    .field("observer", round(observer_ns, 1)),
-            )
-            .field(
-                "method",
-                "generation: mix7 ProfileSources drained standalone through the \
-                 batched refill path; scheduler: L1-hit-only 4-core run (includes \
-                 the L1 fast path); probe = baseline - generation - scheduler; \
-                 observer = pipomonitor - baseline",
-            ),
-    );
-
-    // Perf anchor for the branchless probe kernel + batched generation PR:
-    // monitored 4-core throughput against the recorded pre-kernel rate.
-    doc = doc.field(
-        "probe_kernel",
-        Json::object()
-            .field(
-                "before_accesses_per_sec",
-                PRE_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC,
-            )
-            .field(
-                "after_accesses_per_sec",
-                POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC,
-            )
-            .field(
-                "speedup",
-                round(
-                    POST_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC
-                        / PRE_KERNEL_PIPOMONITOR_ACCESSES_PER_SEC,
-                    2,
-                ),
-            )
-            .field("target_speedup", 1.5)
-            .field("run_accesses_per_sec", round(rate("pipomonitor"), 1))
-            .field(
-                "note",
-                "pipomonitor throughput before vs after the SWAR fingerprint probe \
-                 kernel + batched access generation. Both sides of the recorded \
-                 pair come from one interleaved session (pre-kernel and post-kernel \
-                 binaries alternated on the same host; 20M instructions, 5 samples \
-                 per run, median of three runs each) because the host drifts ±15% \
-                 between non-adjacent runs. run_accesses_per_sec is this run's \
-                 live rate, comparable to the pair only within that noise band.",
-            ),
-    );
 
     if let Some((path, old_rates)) = compare {
         let mut old_obj = Json::object();

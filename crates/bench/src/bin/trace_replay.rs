@@ -41,7 +41,7 @@ use cache_sim::{
     AccessSource, CoreId, Cycle, LineAddr, NullObserver, System, SystemConfig, TrafficObserver,
 };
 use pipo_attacks::OccupancyChannelSource;
-use pipo_bench::{emit_json, run_cells, sweep_document, HarnessArgs, Json};
+use pipo_bench::{emit_json, run_cells, sweep_document, Flag, HarnessArgs, Json};
 use pipo_workloads::{
     benchmark, is_v2, BurstySource, NoisyNeighborSource, ProfileSource, Trace, V2Replay,
 };
@@ -322,8 +322,7 @@ fn load_workloads(trace_path: Option<&str>) -> Vec<Workload> {
 }
 
 fn main() {
-    let args = HarnessArgs::parse();
-    args.expect_no_store();
+    let args = HarnessArgs::parse(&[Flag::Scale, Flag::Filter, Flag::Trace]);
     let instructions = args.instructions();
     let backend = args.filter_backend();
     let monitor_config = MonitorConfig::paper_default().with_backend(backend);

@@ -7,8 +7,8 @@
 //! registry access, so this is a small hand-rolled emitter and parser rather
 //! than serde; the schema is our own and stays flat.
 //!
-//! Since the persistent result store and the `pipo-serve` protocol both read
-//! JSON back, the module also carries [`Json::parse`] (a strict
+//! Since the persistent result store and `throughput --compare` read JSON
+//! back, the module also carries [`Json::parse`] (a strict
 //! recursive-descent parser over the same value type) and [`write_atomic`]
 //! (write-temp-then-rename, so a crash mid-write can never leave a truncated
 //! document behind — readers see either the old document or the new one).
@@ -70,8 +70,8 @@ impl Json {
         out
     }
 
-    /// Serialises onto a single line with no inter-token whitespace — the
-    /// framing `pipo-serve` needs for its line-delimited protocol.
+    /// Serialises onto a single line with no inter-token whitespace, for
+    /// line-delimited output.
     #[must_use]
     pub fn to_line(&self) -> String {
         let mut out = String::new();
@@ -155,15 +155,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is one.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -262,9 +253,10 @@ fn write_block(
     out.push(close);
 }
 
-/// Maximum container nesting [`Json::parse`] accepts. The server feeds the
-/// parser untrusted socket input, so recursion depth must be bounded well
-/// below the stack limit; our own documents nest 4–5 levels.
+/// Maximum container nesting [`Json::parse`] accepts. Store payloads and
+/// `--compare` files are read from disk and may be corrupt or hostile, so
+/// recursion depth must be bounded well below the stack limit; our own
+/// documents nest 4–5 levels.
 const MAX_PARSE_DEPTH: usize = 64;
 
 struct Parser<'a> {
@@ -794,7 +786,7 @@ mod tests {
         assert_eq!(doc.get("x").and_then(Json::as_f64), Some(1.5));
         assert_eq!(doc.get("n").and_then(Json::as_f64), Some(7.0));
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("hi"));
-        assert_eq!(doc.get("b").and_then(Json::as_bool), Some(false));
+        assert_eq!(doc.get("b"), Some(&Json::Bool(false)));
         assert_eq!(
             doc.get("a").and_then(Json::as_array).map(<[Json]>::len),
             Some(1)

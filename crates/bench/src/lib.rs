@@ -6,15 +6,14 @@
 //! The harness layer is built around the [`sweep`] engine: each binary
 //! declares its figure as a grid of independent cells and the engine
 //! evaluates them sequentially or fanned across host threads, with
-//! bit-identical per-cell results either way. [`args`] gives every binary the
-//! same CLI surface and [`json`] the machine-readable output format.
+//! bit-identical per-cell results either way. [`args`] parses each binary's
+//! declared CLI surface and [`json`] is the machine-readable output format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod json;
-pub mod serve;
 pub mod store;
 pub mod sweep;
 
@@ -23,7 +22,7 @@ use cache_sim::{CoreId, NullObserver, SimReport, System, SystemConfig};
 use pipo_workloads::{Mix, ProfileSource};
 use pipomonitor::{MonitorConfig, MonitorStats, PiPoMonitor};
 
-pub use args::HarnessArgs;
+pub use args::{Flag, HarnessArgs};
 pub use json::{emit_json, sweep_document, write_atomic, Json};
 pub use store::{finish_store, mix_cell_key, ResultStore, StoreTelemetry, STORE_SCHEMA_VERSION};
 pub use sweep::{run_cells, ExecMode, MixCell, Sweep, SweepStoreOutcome};
@@ -241,14 +240,6 @@ pub fn filter_with_size(l: usize, b: usize) -> FilterParams {
         .entries_per_bucket(b)
         .build()
         .expect("figure-8 geometry is valid")
-}
-
-/// Parses the optional instruction-count CLI argument (plus the shared
-/// harness flags), exiting with status 2 on an unparsable argument instead
-/// of silently falling back to the default.
-#[must_use]
-pub fn instructions_from_args() -> u64 {
-    HarnessArgs::parse().instructions()
 }
 
 #[cfg(test)]

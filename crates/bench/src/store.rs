@@ -1,10 +1,8 @@
 //! `pipo-store`: a persistent, content-addressed result cache.
 //!
 //! The sweep engine's in-memory baseline memoization dies with the process;
-//! this module generalises it into an on-disk cache shared by every figure
-//! binary (`--store PATH`) and the long-running `pipo-serve` service. The
-//! design follows the `jdb_wal`/`size_lru` append-only-log pattern named in
-//! `ROADMAP.md`:
+//! this module generalises it into an on-disk cache shared by the figure
+//! binaries that declare `--store PATH`. The design is an append-only log:
 //!
 //! * **Content addressing** — a record's address is the stable FNV-1a hash
 //!   of its *canonical cell key*: a single-line ASCII rendering of every
@@ -26,15 +24,14 @@
 //! * **Atomic persistence** — [`ResultStore::flush`] rewrites the compacted
 //!   log through [`write_atomic`]
 //!   (write-temp-then-rename), so readers see either the previous log or
-//!   the complete new one even if a flush is killed mid-write.
-//! * **LRU size budget** — with [`ResultStore::with_budget`], inserting past
-//!   the byte budget evicts least-recently-used records (lookups refresh
-//!   recency; the newest record is never evicted). Compaction happens at
-//!   flush: live records are written oldest-first, so file order *is*
-//!   recency order on recovery.
+//!   the complete new one even if a flush is killed mid-write. Records are
+//!   written in insertion order, so a flush is deterministic.
 //!
-//! The store is single-writer: concurrent processes should go through
-//! `pipo-serve`, which serialises access behind one store.
+//! Each process holds its own in-memory copy of the log and there is no
+//! lock. Two processes writing one `--store` path at once therefore get
+//! last-flush-wins: the later atomic rename replaces the earlier file, and
+//! the records only the earlier writer computed are lost (a later run
+//! recomputes them). A record is never torn or mixed between writers.
 
 use std::collections::HashMap;
 use std::io;
@@ -160,8 +157,6 @@ pub struct StoreTelemetry {
     pub puts: u64,
     /// Records overwritten in place (same key, new payload).
     pub replacements: u64,
-    /// Records evicted to honour the size budget.
-    pub evictions: u64,
     /// Valid records recovered when the store was opened.
     pub recovered_records: u64,
     /// Bytes of invalid/truncated tail dropped when the store was opened.
@@ -172,8 +167,6 @@ pub struct StoreTelemetry {
 struct Entry {
     key: String,
     payload: String,
-    /// Logical recency clock; larger = more recently touched.
-    stamp: u64,
 }
 
 /// FNV-1a over the concatenated key and payload bytes: the per-record
@@ -205,12 +198,12 @@ fn record_size(key: &str, payload: &str) -> u64 {
 #[derive(Debug)]
 pub struct ResultStore {
     path: PathBuf,
-    /// FNV key hash → entries whose keys hash there (collisions coexist).
-    entries: HashMap<u64, Vec<Entry>>,
-    /// Logical clock driving LRU stamps.
-    clock: u64,
-    /// Size budget in encoded bytes (`None` = unbounded).
-    budget: Option<u64>,
+    /// Live records in insertion order, the order [`flush`](Self::flush)
+    /// writes them in.
+    records: Vec<Entry>,
+    /// FNV key hash → indices into `records` of the keys that hash there
+    /// (collisions coexist; lookups compare the full key).
+    index: HashMap<u64, Vec<usize>>,
     /// Encoded size of the live log (header + all live records).
     live_bytes: u64,
     /// In-memory state differs from the file on disk.
@@ -219,8 +212,8 @@ pub struct ResultStore {
 }
 
 impl ResultStore {
-    /// Opens (or initialises) an unbounded store at `path`. The file is not
-    /// created until the first [`flush`](Self::flush).
+    /// Opens (or initialises) the store at `path`. The file is not created
+    /// until the first [`flush`](Self::flush).
     ///
     /// # Errors
     ///
@@ -228,27 +221,10 @@ impl ResultStore {
     /// `pipo-store v1` header (truncated tails — including a torn header
     /// prefix — recover instead of erroring; see module docs).
     pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::open_with(path, None)
-    }
-
-    /// Opens a store bounded to `budget_bytes` of encoded log. Inserting
-    /// past the budget evicts least-recently-used records; the most recent
-    /// record always survives even if it alone exceeds the budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn with_budget(path: impl AsRef<Path>, budget_bytes: u64) -> io::Result<Self> {
-        Self::open_with(path, Some(budget_bytes))
-    }
-
-    fn open_with(path: impl AsRef<Path>, budget: Option<u64>) -> io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
         let mut store = Self {
-            path,
-            entries: HashMap::new(),
-            clock: 0,
-            budget,
+            path: path.as_ref().to_path_buf(),
+            records: Vec::new(),
+            index: HashMap::new(),
             live_bytes: HEADER.len() as u64,
             dirty: false,
             telemetry: StoreTelemetry::default(),
@@ -259,8 +235,6 @@ impl ResultStore {
             Err(e) => return Err(e),
         };
         store.recover(&bytes)?;
-        // Recovered entries may already exceed a (new, smaller) budget.
-        store.enforce_budget();
         Ok(store)
     }
 
@@ -281,56 +255,57 @@ impl ResultStore {
             ));
         }
         let mut offset = HEADER.len();
+        let mut superseded = false;
         while offset < bytes.len() {
             let Some((key, payload, next)) = parse_record(bytes, offset) else {
                 break;
             };
-            self.insert_recovered(key, payload);
+            // Later records supersede earlier ones (append-only updates).
+            superseded |= self.upsert(key, payload);
             offset = next;
         }
         self.telemetry.dropped_tail_bytes = (bytes.len() - offset) as u64;
         self.telemetry.recovered_records = self.len() as u64;
-        // A dropped tail (or superseded duplicate records) means the file
-        // and the index disagree; rewrite on the next flush.
-        self.dirty = self.telemetry.dropped_tail_bytes > 0;
+        // A dropped tail or superseded duplicate records mean the file and
+        // the index disagree; rewrite on the next flush.
+        self.dirty = superseded || self.telemetry.dropped_tail_bytes > 0;
         Ok(())
     }
 
-    fn insert_recovered(&mut self, key: String, payload: String) {
-        self.clock += 1;
-        let hash = fnv1a64(key.as_bytes());
-        let bucket = self.entries.entry(hash).or_default();
-        if let Some(entry) = bucket.iter_mut().find(|e| e.key == key) {
-            // Later records supersede earlier ones (append-only updates).
+    /// The position of `key`'s record in `records`, comparing full keys.
+    fn find(&self, key: &str) -> Option<usize> {
+        self.index
+            .get(&fnv1a64(key.as_bytes()))?
+            .iter()
+            .copied()
+            .find(|&i| self.records[i].key == key)
+    }
+
+    /// Inserts a record, or overwrites the payload of the record with the
+    /// same key in place. Returns whether a record was overwritten.
+    fn upsert(&mut self, key: String, payload: String) -> bool {
+        self.live_bytes += record_size(&key, &payload);
+        if let Some(i) = self.find(&key) {
+            let entry = &mut self.records[i];
             self.live_bytes -= record_size(&entry.key, &entry.payload);
-            self.live_bytes += record_size(&key, &payload);
             entry.payload = payload;
-            entry.stamp = self.clock;
-            self.dirty = true;
+            true
         } else {
-            self.live_bytes += record_size(&key, &payload);
-            bucket.push(Entry {
-                key,
-                payload,
-                stamp: self.clock,
-            });
+            self.index
+                .entry(fnv1a64(key.as_bytes()))
+                .or_default()
+                .push(self.records.len());
+            self.records.push(Entry { key, payload });
+            false
         }
     }
 
-    /// Looks up a record by its canonical key, refreshing its LRU recency.
+    /// Looks up a record by its canonical key.
     pub fn get(&mut self, key: &str) -> Option<&str> {
-        self.clock += 1;
-        let clock = self.clock;
-        let hash = fnv1a64(key.as_bytes());
-        let entry = self
-            .entries
-            .get_mut(&hash)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.key == key));
-        match entry {
-            Some(entry) => {
-                entry.stamp = clock;
+        match self.find(key) {
+            Some(i) => {
                 self.telemetry.hits += 1;
-                Some(&entry.payload)
+                Some(&self.records[i].payload)
             }
             None => {
                 self.telemetry.misses += 1;
@@ -339,66 +314,20 @@ impl ResultStore {
         }
     }
 
-    /// Inserts (or overwrites) a record, then evicts least-recently-used
-    /// records if a budget is exceeded. Nothing touches disk until
+    /// Inserts (or overwrites) a record. Nothing touches disk until
     /// [`flush`](Self::flush).
     pub fn put(&mut self, key: &str, payload: &str) {
-        self.clock += 1;
-        let clock = self.clock;
-        let hash = fnv1a64(key.as_bytes());
-        let bucket = self.entries.entry(hash).or_default();
-        if let Some(entry) = bucket.iter_mut().find(|e| e.key == key) {
-            self.live_bytes -= record_size(&entry.key, &entry.payload);
-            self.live_bytes += record_size(key, payload);
-            entry.payload = payload.to_string();
-            entry.stamp = clock;
+        if self.upsert(key.to_string(), payload.to_string()) {
             self.telemetry.replacements += 1;
         } else {
-            self.live_bytes += record_size(key, payload);
-            bucket.push(Entry {
-                key: key.to_string(),
-                payload: payload.to_string(),
-                stamp: clock,
-            });
             self.telemetry.puts += 1;
         }
         self.dirty = true;
-        self.enforce_budget();
-    }
-
-    fn enforce_budget(&mut self) {
-        let Some(budget) = self.budget else { return };
-        while self.live_bytes > budget && self.len() > 1 {
-            let (&hash, min_stamp) = self
-                .entries
-                .iter()
-                .filter(|(_, bucket)| !bucket.is_empty())
-                .map(|(hash, bucket)| {
-                    (
-                        hash,
-                        bucket.iter().map(|e| e.stamp).min().expect("non-empty"),
-                    )
-                })
-                .min_by_key(|&(_, stamp)| stamp)
-                .expect("len > 1 means a bucket is non-empty");
-            let bucket = self.entries.get_mut(&hash).expect("bucket exists");
-            let pos = bucket
-                .iter()
-                .position(|e| e.stamp == min_stamp)
-                .expect("stamp came from this bucket");
-            let entry = bucket.swap_remove(pos);
-            if bucket.is_empty() {
-                self.entries.remove(&hash);
-            }
-            self.live_bytes -= record_size(&entry.key, &entry.payload);
-            self.telemetry.evictions += 1;
-            self.dirty = true;
-        }
     }
 
     /// Writes the compacted log atomically (temp file + rename) if anything
-    /// changed since the last flush. Live records are written in recency
-    /// order, oldest first, so recovery reconstructs the LRU order.
+    /// changed since the last flush. Live records are written in insertion
+    /// order, so the same puts always produce the same file.
     ///
     /// # Errors
     ///
@@ -408,11 +337,9 @@ impl ResultStore {
         if !self.dirty {
             return Ok(());
         }
-        let mut records: Vec<&Entry> = self.entries.values().flatten().collect();
-        records.sort_by_key(|e| e.stamp);
         let mut image = String::with_capacity(self.live_bytes as usize);
         image.push_str(HEADER);
-        for entry in records {
+        for entry in &self.records {
             image.push_str(&record_frame(&entry.key, &entry.payload));
             image.push_str(&entry.key);
             image.push_str(&entry.payload);
@@ -427,13 +354,13 @@ impl ResultStore {
     /// Number of live records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.records.len()
     }
 
     /// Whether the store holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.values().all(Vec::is_empty)
+        self.records.is_empty()
     }
 
     /// Encoded size of the live log in bytes (header + records).
@@ -452,15 +379,6 @@ impl ResultStore {
     #[must_use]
     pub fn telemetry(&self) -> StoreTelemetry {
         self.telemetry
-    }
-
-    /// Iterates `(key, payload)` over live records in unspecified order
-    /// (the `pipo-serve` dashboard aggregates these).
-    pub fn records(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries
-            .values()
-            .flatten()
-            .map(|e| (e.key.as_str(), e.payload.as_str()))
     }
 }
 
@@ -611,6 +529,22 @@ mod tests {
         assert_eq!(store.telemetry().replacements, 1);
         store.put("k", "short");
         assert_eq!(store.bytes(), small);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn superseded_records_are_compacted_on_flush() {
+        let path = temp_store("compact");
+        let record =
+            |key: &str, payload: &str| format!("{}{key}{payload}\n", record_frame(key, payload));
+        let log = format!("{HEADER}{}{}", record("k", "old"), record("k", "new"));
+        std::fs::write(&path, &log).expect("write log");
+        let mut store = ResultStore::open(&path).expect("open");
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get("k"), Some("new"), "the later record wins");
+        store.flush().expect("flush");
+        let compacted = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(compacted, format!("{HEADER}{}", record("k", "new")));
         std::fs::remove_file(&path).ok();
     }
 

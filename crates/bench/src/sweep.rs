@@ -223,8 +223,8 @@ impl Sweep {
     /// from the store and no simulation runs. Cold cells simulate exactly as
     /// in [`run`](Self::run) — including the baseline memoization, now
     /// restricted to cold cells — and their results are `put` back, keyed
-    /// identically, so the next invocation (or a `pipo-serve` instance
-    /// reading the same store) answers them warm. The caller is responsible
+    /// identically, so the next invocation reading the same store answers
+    /// them warm. The caller is responsible
     /// for [`ResultStore::flush`]; per-cell results are bit-identical with
     /// and without a store.
     #[must_use]

@@ -1,115 +1,82 @@
-//! CLI contract tests for the harness binaries: which ones accept
-//! `--filter` (they build pattern-store-backed monitors with a selectable
-//! backend),
-//! `--trace` (they replay recorded trace files), and `--store` (their
-//! sweeps are content-addressed result-store cells), and which reject
-//! them with exit status 2 and an error that names the offending flag.
-//! Conflicting execution-mode flags (`--sequential` with `--threads`)
-//! must be rejected the same way, in either order, and a flag no binary
-//! declares (`--shards`) is an unknown flag everywhere.
+//! CLI contract tests for the harness binaries.
+//!
+//! Every binary but `throughput` parses with the shared
+//! `pipo_bench::args` parser and declares the optional flags it accepts.
+//! [`SURFACE`] repeats those declarations, and the tests generated from it
+//! check each binary against each declarable flag: a declared flag is
+//! accepted, an undeclared one exits with status 2 and an error naming it
+//! before any work, and `--help` lists exactly the declared flags.
+//! Conflicting execution-mode flags (`--sequential` with `--threads`) are
+//! rejected the same way, in either order, and a flag no binary declares
+//! (`--shards`) is an unknown flag everywhere.
 //!
 //! Cargo exposes each binary's path to this integration test through the
 //! `CARGO_BIN_EXE_<name>` environment variables, so these tests exercise
-//! the real executables — parser, `expect_no_*` checks, and exit codes —
-//! not a reimplementation.
+//! the real executables — parser, declarations and exit codes — not a
+//! reimplementation.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Every harness binary. `throughput` and `pipo_serve` have their own
-/// parsers (different flag surfaces) but honour the same exit-2 contract
-/// for unknown flags.
-const ALL_BINARIES: &[&str] = &[
-    "ablation_delay",
-    "ablation_filter",
-    "ablation_replacement",
-    "baseline_stateful",
-    "fig3_occupancy",
-    "fig4_collisions",
-    "fig6_attack",
-    "fig7_reverse",
-    "fig8_performance",
-    "overhead_table",
-    "pipo_serve",
-    "sensitivity_secthr",
-    "throughput",
-    "trace_replay",
+use pipo_bench::Flag::{self, Filter, Scale, Store, Trace};
+
+/// Every shared-parser binary: its name, the flags it declares, and
+/// arguments that keep a run tiny (the scale argument where declared).
+const SURFACE: &[(&str, &[Flag], &[&str])] = &[
+    ("ablation_delay", &[Scale, Filter], &["1", "--sequential"]),
+    ("ablation_filter", &[Scale], &["1", "--sequential"]),
+    (
+        "ablation_replacement",
+        &[Scale, Filter, Store],
+        &["1", "--sequential"],
+    ),
+    ("baseline_stateful", &[], &["--sequential"]),
+    ("fig3_occupancy", &[], &["--sequential"]),
+    ("fig4_collisions", &[Scale], &["1", "--sequential"]),
+    ("fig6_attack", &[Scale, Filter], &["1", "--sequential"]),
+    ("fig7_reverse", &[Scale], &["1", "--sequential"]),
+    (
+        "fig8_performance",
+        &[Scale, Filter, Store],
+        &["1", "--sequential"],
+    ),
+    ("overhead_table", &[], &["--sequential"]),
+    (
+        "sensitivity_secthr",
+        &[Scale, Filter, Store],
+        &["1", "--sequential"],
+    ),
+    (
+        "trace_replay",
+        &[Scale, Filter, Trace],
+        &["1", "--sequential"],
+    ),
 ];
 
-/// The binaries with their own parsers; every other binary shares
-/// `pipo_bench::args`.
-const OWN_PARSER: &[&str] = &["pipo_serve", "throughput"];
+/// Every harness binary: the shared-parser ones plus `throughput`, which
+/// has its own parser (a different flag surface) but honours the same
+/// exit-2 contract.
+fn all_binaries() -> impl Iterator<Item = &'static str> {
+    SURFACE
+        .iter()
+        .map(|&(name, _, _)| name)
+        .chain(["throughput"])
+}
 
-/// Binaries that build monitors with a selectable pattern-store backend:
-/// `--filter BACKEND` selects it. Each entry carries arguments that keep the
-/// run tiny.
-const ACCEPTS_FILTER: &[(&str, &[&str])] = &[
-    ("fig8_performance", &["1", "--sequential"]),
-    ("sensitivity_secthr", &["1", "--sequential"]),
-    ("ablation_replacement", &["1", "--sequential"]),
-    ("ablation_delay", &["1", "--sequential"]),
-    ("fig6_attack", &["1", "--sequential"]),
-    ("trace_replay", &["1", "--sequential"]),
-];
+/// The binaries declaring `flag`, with their tiny-run arguments.
+fn accepting(flag: Flag) -> impl Iterator<Item = (&'static str, &'static [&'static str])> {
+    SURFACE
+        .iter()
+        .filter(move |(_, declared, _)| declared.contains(&flag))
+        .map(|&(name, _, tiny)| (name, tiny))
+}
 
-/// Only `trace_replay` consumes recorded trace files; every other binary —
-/// shared parser or not — must reject `--trace` by name with exit 2
-/// (`throughput` through its own parser's unknown-flag path).
-const REJECTS_TRACE: &[&str] = &[
-    "ablation_delay",
-    "ablation_filter",
-    "ablation_replacement",
-    "baseline_stateful",
-    "fig3_occupancy",
-    "fig4_collisions",
-    "fig6_attack",
-    "fig7_reverse",
-    "fig8_performance",
-    "overhead_table",
-    "sensitivity_secthr",
-    "throughput",
-];
-
-/// Binaries with no backend choice: filter microbenchmarks drive the cuckoo
-/// structures directly, `baseline_stateful`/`throughput` pin the paper's
-/// monitor for comparability, and `ablation_filter` sweeps every backend by
-/// construction. All must reject `--filter` by name with exit 2
-/// (`throughput` through its own parser's unknown-flag path).
-const REJECTS_FILTER: &[&str] = &[
-    "ablation_filter",
-    "baseline_stateful",
-    "fig3_occupancy",
-    "fig4_collisions",
-    "fig7_reverse",
-    "overhead_table",
-    "throughput",
-];
-
-/// Binaries whose sweeps are content-addressed (every cell is a
-/// `System::run` over inputs captured by the canonical cell key):
-/// `--store PATH` answers repeat cells from the persistent result store.
-const ACCEPTS_STORE: &[(&str, &[&str])] = &[
-    ("fig8_performance", &["1", "--sequential"]),
-    ("sensitivity_secthr", &["1", "--sequential"]),
-    ("ablation_replacement", &["1", "--sequential"]),
-];
-
-/// Everything else must reject `--store` by name with exit 2:
-/// non-sweep binaries through `expect_no_store`, `trace_replay` because
-/// replayed traces are keyed by file path (not content) so caching them
-/// would be unsound, and `throughput` through its own parser's
-/// unknown-flag path.
-const REJECTS_STORE: &[&str] = &[
-    "ablation_delay",
-    "ablation_filter",
-    "baseline_stateful",
-    "fig3_occupancy",
-    "fig4_collisions",
-    "fig6_attack",
-    "fig7_reverse",
-    "overhead_table",
-    "trace_replay",
-    "throughput",
-];
+/// The binaries not declaring `flag`.
+fn rejecting(flag: Flag) -> impl Iterator<Item = &'static str> {
+    SURFACE
+        .iter()
+        .filter(move |(_, declared, _)| !declared.contains(&flag))
+        .map(|&(name, _, _)| name)
+}
 
 fn bin_path(name: &str) -> String {
     // CARGO_BIN_EXE_* is only resolvable via env! for statically known
@@ -119,55 +86,112 @@ fn bin_path(name: &str) -> String {
     std::env::var(&key).unwrap_or_else(|_| panic!("{key} not set — binary missing?"))
 }
 
-#[test]
-fn every_binary_rejects_shards_as_an_unknown_flag() {
-    for name in ALL_BINARIES {
-        let output = Command::new(bin_path(name))
-            .args(["--shards", "2"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+fn run(name: &str, args: &[&str]) -> Output {
+    Command::new(bin_path(name))
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"))
+}
+
+/// Asserts that `name` rejected its arguments before doing any work: exit
+/// status 2, nothing on stdout, and an `error:` line containing every one
+/// of `named`.
+fn assert_usage_error(name: &str, output: &Output, named: &[&str]) {
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "{name} must exit 2, stderr:\n{stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "{name} must fail before any work, stdout:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
+    let error = stderr
+        .lines()
+        .find(|line| line.starts_with("error:"))
+        .unwrap_or_else(|| panic!("{name} must print an error: line, got:\n{stderr}"));
+    for word in named {
+        assert!(
+            error.contains(word),
+            "{name}'s error must name {word}, got:\n{stderr}"
+        );
+    }
+}
+
+/// Runs every binary declaring `flag` at its tiny scale with the flag
+/// given, and asserts it succeeds.
+fn assert_declared_flag_is_accepted(flag: Flag, flag_args: &[&str]) {
+    let mut checked = 0;
+    for (name, tiny) in accepting(flag) {
+        let output = run(name, &[tiny, flag_args].concat());
+        let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(
             output.status.code(),
-            Some(2),
-            "{name} must exit 2 on --shards"
+            Some(0),
+            "{name} declares {} and must accept {flag_args:?} (stderr: {stderr})",
+            flag.name()
         );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("error: unknown") && stderr.contains("--shards"),
-            "{name} must reject --shards as unknown by name, got:\n{stderr}"
-        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no binary declares {}", flag.name());
+}
+
+/// Runs every binary not declaring `flag` with the flag given, and asserts
+/// it is a usage error naming the flag (or, for the scale, the argument).
+fn assert_undeclared_flag_is_rejected(flag: Flag, flag_args: &[&str]) {
+    let mut checked = 0;
+    for name in rejecting(flag) {
+        let output = run(name, flag_args);
+        assert_usage_error(name, &output, &[flag.name(), flag_args[0]]);
+        checked += 1;
+    }
+    assert!(checked > 0, "every binary declares {}", flag.name());
+}
+
+#[test]
+fn every_binary_rejects_shards_as_an_unknown_flag() {
+    for name in all_binaries() {
+        let output = run(name, &["--shards", "2"]);
+        assert_usage_error(name, &output, &["unknown", "--shards"]);
     }
 }
 
 #[test]
 fn every_binary_helps_and_exits_zero() {
-    for &name in ALL_BINARIES {
-        let output = Command::new(bin_path(name))
-            .arg("--help")
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
+    for name in all_binaries() {
+        let output = run(name, &["--help"]);
         assert_eq!(output.status.code(), Some(0), "{name} --help must exit 0");
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(
             !stdout.contains("--shards"),
             "{name} --help must not document the removed --shards"
         );
-        // Binaries with their own parsers document their own flag surface;
-        // every shared-parser binary's help must enumerate --filter and its
-        // backends.
-        if !OWN_PARSER.contains(&name) {
-            assert!(
-                stdout.contains("--filter"),
-                "{name} --help must document --filter"
+        // A shared-parser binary names itself and lists exactly the flags
+        // it declares, plus the common ones.
+        let Some(&(_, declared, _)) = SURFACE.iter().find(|(n, _, _)| *n == name) else {
+            continue;
+        };
+        assert!(
+            stdout.starts_with(&format!("usage: {name} ")),
+            "{name} --help must lead with its own name, got:\n{stdout}"
+        );
+        for common in ["--json", "--sequential", "--threads", "--help"] {
+            assert!(stdout.contains(common), "{name} --help must list {common}");
+        }
+        for flag in Flag::ALL {
+            let token = match flag {
+                Scale => "[scale]",
+                other => other.name(),
+            };
+            assert_eq!(
+                stdout.contains(token),
+                declared.contains(&flag),
+                "{name} --help must list {token} exactly when declared, got:\n{stdout}"
             );
-            assert!(
-                stdout.contains("--trace"),
-                "{name} --help must document --trace"
-            );
-            assert!(
-                stdout.contains("--store"),
-                "{name} --help must document --store"
-            );
+        }
+        if declared.contains(&Filter) {
             for backend in ["auto", "classic", "bloom", "xor"] {
                 assert!(
                     stdout.contains(backend),
@@ -179,92 +203,77 @@ fn every_binary_helps_and_exits_zero() {
 }
 
 #[test]
+fn scale_accepting_binaries_run_at_a_tiny_scale() {
+    assert_declared_flag_is_accepted(Scale, &[]);
+}
+
+#[test]
+fn scale_rejecting_binaries_exit_2_and_name_the_argument() {
+    assert_undeclared_flag_is_rejected(Scale, &["7"]);
+}
+
+#[test]
 fn filter_accepting_binaries_run_with_a_backend() {
-    for (name, scale_args) in ACCEPTS_FILTER {
-        let output = Command::new(bin_path(name))
-            .args(*scale_args)
-            .args(["--filter", "bloom"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert_eq!(
-            output.status.code(),
-            Some(0),
-            "{name} must accept --filter bloom (stderr: {stderr})"
-        );
-    }
+    assert_declared_flag_is_accepted(Filter, &["--filter", "bloom"]);
 }
 
 #[test]
 fn filter_rejecting_binaries_exit_2_and_name_the_flag() {
-    for name in REJECTS_FILTER {
-        let output = Command::new(bin_path(name))
-            .args(["--filter", "bloom"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{name} must exit 2 on --filter"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--filter"),
-            "{name}'s rejection must name the offending flag, got:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("error:"),
-            "{name}'s rejection must be an error line, got:\n{stderr}"
-        );
-    }
+    assert_undeclared_flag_is_rejected(Filter, &["--filter", "bloom"]);
 }
 
 #[test]
-fn bad_filter_backend_exits_2_and_names_the_value() {
-    for (name, _) in ACCEPTS_FILTER {
-        let output = Command::new(bin_path(name))
-            .args(["--filter", "ribbon"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{name} must exit 2 on a bad backend"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("ribbon"),
-            "{name}'s error must name the bad value, got:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("auto") && stderr.contains("xor"),
-            "{name}'s error must enumerate valid backends, got:\n{stderr}"
-        );
-    }
+fn trace_accepting_binaries_replay_a_corpus_trace() {
+    let trace = corpus_trace("mix_gcc_prefix.trace2");
+    assert_declared_flag_is_accepted(Trace, &["--trace", &trace]);
 }
 
 #[test]
 fn trace_rejecting_binaries_exit_2_and_name_the_flag() {
-    for name in REJECTS_TRACE {
-        let output = Command::new(bin_path(name))
-            .args(["--trace", "some.trace"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{name} must exit 2 on --trace"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--trace"),
-            "{name}'s rejection must name the offending flag, got:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("error:"),
-            "{name}'s rejection must be an error line, got:\n{stderr}"
-        );
+    assert_undeclared_flag_is_rejected(Trace, &["--trace", "some.trace"]);
+}
+
+#[test]
+fn store_rejecting_binaries_exit_2_and_name_the_flag() {
+    assert_undeclared_flag_is_rejected(Store, &["--store", "some.store"]);
+}
+
+#[test]
+fn bad_filter_backend_exits_2_and_names_the_value() {
+    for (name, _) in accepting(Filter) {
+        let output = run(name, &["--filter", "ribbon"]);
+        assert_usage_error(name, &output, &["ribbon", "auto", "xor"]);
     }
+}
+
+#[test]
+fn output_paths_in_a_missing_directory_fail_before_any_work() {
+    let missing = "/nonexistent/dir";
+    for &(name, declared, tiny) in SURFACE {
+        let json = format!("{missing}/out.json");
+        let output = run(name, &[tiny, &["--json", json.as_str()]].concat());
+        assert_usage_error(name, &output, &["--json", &json]);
+        if declared.contains(&Store) {
+            let store = format!("{missing}/results.store");
+            let output = run(name, &[tiny, &["--store", store.as_str()]].concat());
+            assert_usage_error(name, &output, &["--store", &store]);
+        }
+    }
+    for flag in ["--out", "--json"] {
+        let out = format!("{missing}/bench.json");
+        let output = run("throughput", &["4000", "--samples", "1", flag, &out]);
+        assert_usage_error("throughput", &output, &[&out]);
+    }
+}
+
+#[test]
+fn throughput_rejects_an_extra_positional_argument() {
+    let output = run("throughput", &["4000", "8000"]);
+    assert_usage_error(
+        "throughput",
+        &output,
+        &["unexpected extra argument", "8000"],
+    );
 }
 
 /// The bundled corpus file of the given name (the corpus lives in the
@@ -341,32 +350,8 @@ fn trace_replay_rejects_a_missing_or_corrupt_trace() {
 }
 
 #[test]
-fn store_rejecting_binaries_exit_2_and_name_the_flag() {
-    for name in REJECTS_STORE {
-        let output = Command::new(bin_path(name))
-            .args(["--store", "some.store"])
-            .output()
-            .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));
-        assert_eq!(
-            output.status.code(),
-            Some(2),
-            "{name} must exit 2 on --store"
-        );
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--store"),
-            "{name}'s rejection must name the offending flag, got:\n{stderr}"
-        );
-        assert!(
-            stderr.contains("error:"),
-            "{name}'s rejection must be an error line, got:\n{stderr}"
-        );
-    }
-}
-
-#[test]
 fn store_accepting_binaries_warm_rerun_is_byte_identical() {
-    for (name, scale_args) in ACCEPTS_STORE {
+    for (name, scale_args) in accepting(Store) {
         let stem = format!(
             "{}/cli_store_{}_{name}",
             std::env::temp_dir().display(),
@@ -376,7 +361,7 @@ fn store_accepting_binaries_warm_rerun_is_byte_identical() {
         std::fs::remove_file(&store).ok();
         let run = |json: &str| {
             let output = Command::new(bin_path(name))
-                .args(*scale_args)
+                .args(scale_args)
                 .args(["--store", &store, "--json", json])
                 .output()
                 .unwrap_or_else(|e| panic!("failed to spawn {name}: {e}"));

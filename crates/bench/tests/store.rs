@@ -10,8 +10,8 @@
 //! * recovery must tolerate truncation at **every** byte offset and byte
 //!   flips at every offset without panicking, and must never resurrect a
 //!   record that differs from what was written;
-//! * the LRU budget must hold after eviction, evict the least-recently-used
-//!   record first, and survive reopen (file order is recency order);
+//! * a flush writes records in insertion order, so it is deterministic,
+//!   and two writers of one path get last-flush-wins with no torn record;
 //! * an interrupted atomic write (temp file present, rename never happened)
 //!   must leave the previous log fully readable.
 
@@ -198,68 +198,70 @@ fn recovery_survives_a_flip_at_every_byte_without_resurrecting_garbage() {
     std::fs::remove_file(&flip_path).ok();
 }
 
-#[test]
-fn lru_budget_holds_and_evicts_least_recently_used_first() {
-    let path = temp_path("lru");
-    std::fs::remove_file(&path).ok();
-    // Each record is ~160 encoded bytes, so four fit the budget and a
-    // fifth forces an eviction.
-    let payload = |i: usize| format!("payload {i} {}", "x".repeat(100));
-    let budget = 700u64;
-    let mut store = ResultStore::with_budget(&path, budget).expect("open budgeted");
-    for i in 0..4 {
-        store.put(&format!("key-{i}"), &payload(i));
+/// The store's file image after `ops` on a fresh store at `path`: `Some`
+/// payloads are puts, `None` payloads are lookups.
+fn image_after(path: &PathBuf, ops: &[(&str, Option<&str>)]) -> Vec<u8> {
+    std::fs::remove_file(path).ok();
+    let mut store = ResultStore::open(path).expect("open fresh");
+    for (key, payload) in ops {
+        match payload {
+            Some(payload) => store.put(key, payload),
+            None => {
+                store.get(key);
+            }
+        }
     }
-    assert_eq!(
-        store.telemetry().evictions,
-        0,
-        "four records fit the budget"
-    );
-    // Refresh key-0 so key-1 is now the least recently used.
-    assert!(
-        store.get("key-0").is_some(),
-        "key-0 still live before refresh"
-    );
-    store.put("key-4", &payload(4));
-    assert!(
-        store.bytes() <= budget,
-        "budget holds: {} bytes of {budget}",
-        store.bytes()
-    );
-    assert!(store.telemetry().evictions > 0, "budget forced an eviction");
-    assert!(
-        store.get("key-0").is_some(),
-        "recently refreshed record survives eviction"
-    );
-    assert_eq!(
-        store.get("key-1"),
-        None,
-        "least recently used record is evicted first"
-    );
-    assert!(
-        store.get("key-4").is_some(),
-        "newest record always survives"
-    );
     store.flush().expect("flush");
+    std::fs::read(path).expect("read log")
+}
 
-    // Survivors' recency order is now key-2 < key-3 < key-0 < key-4, and
-    // flush wrote them oldest-first. Reopen with the same budget and push
-    // past it again: the on-disk order must drive the next eviction, so
-    // key-2 goes first.
-    let mut reopened = ResultStore::with_budget(&path, budget).expect("reopen");
-    assert_eq!(reopened.telemetry().recovered_records, 4);
-    reopened.put("key-new", &payload(9));
+#[test]
+fn flush_writes_records_in_insertion_order() {
+    let path = temp_path("order");
+    let puts = [
+        ("key-c", Some("3")),
+        ("key-a", Some("1")),
+        ("key-b", Some("2")),
+    ];
+    let plain = image_after(&path, &puts);
+    let text = String::from_utf8(plain.clone()).expect("UTF-8 log");
+    let at = |key: &str| text.find(key).expect("record present");
     assert!(
-        reopened.telemetry().evictions > 0,
-        "refill forced an eviction"
+        at("key-c") < at("key-a") && at("key-a") < at("key-b"),
+        "{text}"
     );
-    assert_eq!(
-        reopened.get("key-2"),
-        None,
-        "on-disk recency order drives post-reopen eviction"
-    );
-    assert!(reopened.get("key-3").is_some());
-    assert!(reopened.get("key-new").is_some());
+
+    // Lookups do not reorder records, and an overwrite keeps its slot.
+    let mut busy = puts.to_vec();
+    busy.extend([("key-a", None), ("key-missing", None), ("key-c", Some("3"))]);
+    assert_eq!(image_after(&path, &busy), plain, "same records, same bytes");
+
+    // Reopening keeps the file order and appends new records after it.
+    let mut store = ResultStore::open(&path).expect("reopen");
+    store.put("key-0", "0");
+    store.flush().expect("flush");
+    let text = std::fs::read_to_string(&path).expect("read log");
+    let at = |key: &str| text.find(key).expect("record present");
+    assert!(at("key-b") < at("key-0"), "{text}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn concurrent_writers_get_last_flush_wins_without_torn_records() {
+    let path = temp_path("writers");
+    std::fs::remove_file(&path).ok();
+    let mut first = ResultStore::open(&path).expect("open first writer");
+    let mut second = ResultStore::open(&path).expect("open second writer");
+    first.put("only-first", "{\"v\": 1}");
+    second.put("only-second", "{\"v\": 2}");
+    first.flush().expect("first flush");
+    second.flush().expect("second flush");
+
+    let mut reopened = ResultStore::open(&path).expect("reopen");
+    assert_eq!(reopened.telemetry().dropped_tail_bytes, 0, "no torn record");
+    assert_eq!(reopened.len(), 1, "the later flush replaced the file");
+    assert_eq!(reopened.get("only-second"), Some("{\"v\": 2}"));
+    assert_eq!(reopened.get("only-first"), None, "lost, not torn");
     std::fs::remove_file(&path).ok();
 }
 
